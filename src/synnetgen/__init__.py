@@ -21,19 +21,15 @@ from .repair import (
     VARIANT_PLUS,
     VARIANT_PP,
     ClusterWork,
-    enforce_min_degree,
     match_degrees_global,
     match_degrees_per_cluster,
     process_cluster,
-    repair_mincut,
-    stitch_components,
 )
 from .pipeline import (
     PipelineConfig,
     PipelineError,
     RunReport,
     SynthesisResult,
-    merge_edge_sets,
     run_both_variants,
     run_pipeline,
     synthesize,

@@ -63,18 +63,15 @@ def cluster_edge_tables(g: CsrGraph, c: Clustering):
 
 def _stats_task(task) -> ClusterStats:
     cid, size, local_edges = task
-    cut = min_cut_of_edges(size, local_edges.tolist())
+    cut = min_cut_of_edges(size, local_edges)
     return ClusterStats(cluster_id=cid, n=size, m=int(len(local_edges)),
                         mincut=cut.value)
 
 
-def compute_stats(g: CsrGraph, c: Clustering, workers: int = 1,
-                  executor=None) -> dict[int, ClusterStats]:
+def compute_stats(g: CsrGraph, c: Clustering, workers: int = 1) -> dict[int, ClusterStats]:
     """ClusterStats for every cluster of size > 1, keyed by cluster id."""
     tasks = cluster_edge_tables(g, c)
-    if executor is not None:
-        results = list(executor.map(_stats_task, tasks, chunksize=_chunksize(len(tasks), workers)))
-    elif workers > 1 and len(tasks) > 1:
+    if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -85,6 +82,7 @@ def compute_stats(g: CsrGraph, c: Clustering, workers: int = 1,
 
 
 def _chunksize(n_tasks: int, workers: int) -> int:
+    """Tasks per pool round trip: about eight chunks per worker."""
     return max(1, n_tasks // (max(1, workers) * 8))
 
 

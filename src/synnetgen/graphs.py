@@ -49,14 +49,6 @@ class EdgeSet:
         es._edges = set(pairs)
         return es
 
-    @classmethod
-    def from_array(cls, arr) -> "EdgeSet":
-        arr = np.asarray(arr, dtype=np.int64).reshape(-1, 2)
-        es = cls()
-        for u, v in arr.tolist():
-            es.add(u, v)
-        return es
-
     def add(self, u: int, v: int) -> bool:
         """Insert edge {u, v}. Returns False when it was already present."""
         if u == v:
@@ -104,9 +96,6 @@ class CsrGraph:
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-    def degree(self, u: int) -> int:
-        return int(self.offsets[u + 1] - self.offsets[u])
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.cols[self.offsets[u]:self.offsets[u + 1]]
@@ -254,10 +243,6 @@ class LoadResult:
     n: int
     self_loops_dropped: int
     duplicates_dropped: int
-
-    def label_index(self) -> dict:
-        """External label -> internal id."""
-        return {int(lab): i for i, lab in enumerate(self.labels)}
 
 
 def load_edge_list(path) -> LoadResult:

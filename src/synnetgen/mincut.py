@@ -11,9 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CsrGraph, connected_components
+from .graphs import CsrGraph, build_csr, connected_components
 
 DEFAULT_SIZE_GUARD = 50_000
+
+# key of a node already in the phase's added set; later row additions
+# (at most the total edge weight) keep it below every real weight
+_ADDED = np.int64(-(1 << 62))
 
 
 class MinCutSizeError(RuntimeError):
@@ -42,19 +46,21 @@ def stoer_wagner_dense(w: np.ndarray) -> tuple[int, list[int]]:
     best_side: list[int] = []
     while len(active) > 1:
         a = len(active)
-        added = np.zeros(a, dtype=bool)
-        added[0] = True
-        weight_to_a = wm[active[0], :][active].astype(np.int64)
+        # one phase works on the active submatrix; key holds each node's
+        # weight to the added set, and _ADDED (below any weight) once added
+        sub = wm[np.ix_(active, active)]
+        key = sub[0].copy()
+        key[0] = _ADDED
         prev_pos = 0
         last_pos = 0
         cut_of_phase = 0
         for _ in range(1, a):
-            sel = int(np.argmax(np.where(added, np.int64(-1), weight_to_a)))
-            cut_of_phase = int(weight_to_a[sel])
-            added[sel] = True
+            sel = int(key.argmax())
+            cut_of_phase = int(key[sel])
             prev_pos = last_pos
             last_pos = sel
-            weight_to_a = weight_to_a + wm[active[sel], :][active]
+            key += sub[sel]
+            key[sel] = _ADDED
         t = int(active[last_pos])
         s = int(active[prev_pos])
         if best_value is None or cut_of_phase < best_value:
@@ -69,54 +75,33 @@ def stoer_wagner_dense(w: np.ndarray) -> tuple[int, list[int]]:
     return int(best_value), sorted(best_side)
 
 
-def _first_component(g: CsrGraph) -> np.ndarray:
-    labels = connected_components(g)
-    return np.flatnonzero(labels == 0)
+def dense_adjacency(n: int, edges) -> np.ndarray:
+    """n x n 0/1 int64 weight matrix of a simple graph given as an edge array."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    w = np.zeros((n, n), dtype=np.int64)
+    w[arr[:, 0], arr[:, 1]] = 1
+    w[arr[:, 1], arr[:, 0]] = 1
+    return w
 
 
 def global_min_cut(g: CsrGraph, size_guard: int = DEFAULT_SIZE_GUARD) -> MinCutResult:
-    """Exact global minimum edge cut of a CsrGraph.
-
-    Graphs with fewer than two nodes have cut 0 and an empty side; a
-    disconnected graph has cut 0 with one whole component as the side.
-    """
-    if g.n > size_guard:
-        raise MinCutSizeError(
-            f"graph has {g.n} nodes, exact min cut guard is {size_guard}"
-        )
-    if g.n <= 1:
-        return MinCutResult(0, np.empty(0, dtype=np.int64))
-    labels = connected_components(g)
-    if labels.max() > 0:
-        return MinCutResult(0, np.flatnonzero(labels == 0))
-    w = np.zeros((g.n, g.n), dtype=np.int64)
-    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-    w[src, g.cols] = 1
-    value, side = stoer_wagner_dense(w)
-    return MinCutResult(value, np.array(side, dtype=np.int64))
+    """Exact global minimum edge cut of a CsrGraph; see min_cut_of_edges."""
+    return min_cut_of_edges(g.n, g.edge_array(), size_guard)
 
 
 def min_cut_of_edges(n: int, edges, size_guard: int = DEFAULT_SIZE_GUARD) -> MinCutResult:
-    """Exact min cut of a small graph given by node count and an edge iterable."""
+    """Exact min cut of a graph given by node count and an (m, 2) edge array.
+
+    Graphs with fewer than two nodes have cut 0 and an empty side; a
+    disconnected graph has cut 0 with node 0's component as the side.
+    """
     if n > size_guard:
         raise MinCutSizeError(f"{n} nodes exceeds exact min cut guard {size_guard}")
     if n <= 1:
         return MinCutResult(0, np.empty(0, dtype=np.int64))
-    w = np.zeros((n, n), dtype=np.int64)
-    for u, v in edges:
-        w[u, v] = 1
-        w[v, u] = 1
-    # connectivity check without building a CSR
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(w[u]):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    if not seen.all():
-        return MinCutResult(0, np.flatnonzero(seen))
-    value, side = stoer_wagner_dense(w)
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    labels = connected_components(build_csr(arr, n))
+    if labels.max() > 0:
+        return MinCutResult(0, np.flatnonzero(labels == 0))
+    value, side = stoer_wagner_dense(dense_adjacency(n, arr))
     return MinCutResult(value, np.array(side, dtype=np.int64))

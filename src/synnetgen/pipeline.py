@@ -7,10 +7,11 @@ Dependency structure of one run:
                       +----> singleton SBM --+    matching for the    +-> merge
                                                   "plus" variant)
 
-Stats and the split are independent, as are the two block model draws, so
-they run concurrently when workers allow. Per-cluster work fans out over a
-process pool; results are aggregated in cluster id order, which keeps the
-output bytes identical for any worker count at a fixed seed.
+With workers > 1 one process pool serves the whole call: the stats tasks
+run on it while the main process splits and draws both block models, then
+the per-cluster repair fans out over it. Results are aggregated in cluster
+id order, which keeps the output bytes identical for any worker count at a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +28,7 @@ import numpy as np
 
 from . import repair as rp
 from .cluster_stats import (
+    _chunksize,
     _stats_task,
     cluster_edge_tables,
     read_stats_csv,
@@ -35,7 +38,6 @@ from .cluster_stats import (
 from .graphs import (
     Clustering,
     CsrGraph,
-    EdgeSet,
     build_csr,
     load_clustering,
     load_edge_list,
@@ -113,18 +115,6 @@ class SynthesisResult:
     stats: dict                # cluster id -> ClusterStats actually used
 
 
-def merge_edge_sets(a: EdgeSet, b: EdgeSet) -> tuple[EdgeSet, int]:
-    """Deduplicating union; returns the union and the overlap count."""
-    merged = set(iter(a))
-    dup = 0
-    for e in b:
-        if e in merged:
-            dup += 1
-        else:
-            merged.add(e)
-    return EdgeSet._from_canonical(merged), dup
-
-
 def _merge_arrays(n: int, parts: list) -> tuple[np.ndarray, int]:
     """Union of canonical edge arrays with duplicate count (packed-key dedup)."""
     parts = [p for p in parts if len(p)]
@@ -186,6 +176,36 @@ def _build_work_items(split_res: SplitResult, gc_sample: np.ndarray,
     return items, inter
 
 
+@contextmanager
+def _stage(report: RunReport, name: str):
+    """Time the with-body into report.stage_seconds[name].
+
+    A stage entered again adds to its seconds. Any error other than a
+    PipelineError is re-raised as PipelineError(name).
+    """
+    t = time.perf_counter()
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, str(exc)) from exc
+    finally:
+        seconds = report.stage_seconds
+        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t
+
+
+def _map(executor, fn, items: list, workers: int):
+    """Lazy in-order results of fn over items, computed on the pool if there is one.
+
+    executor.map submits every task at once, so pool work starts before the
+    results are read.
+    """
+    if executor is None:
+        return map(fn, items)
+    return executor.map(fn, items, chunksize=_chunksize(len(items), workers))
+
+
 def synthesize(g: CsrGraph, c: Clustering, variant: str, seed: int,
                workers: int = 1, stats: dict | None = None,
                sbm_max_retries: int = 30,
@@ -194,100 +214,42 @@ def synthesize(g: CsrGraph, c: Clustering, variant: str, seed: int,
     if variant not in rp.VARIANTS:
         raise PipelineError("configure", f"unknown variant {variant!r}")
     report = RunReport(variant=variant, seed=seed, workers=workers, nodes=g.n)
-    timings = report.stage_seconds
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        # stats first: the tasks fan out to the pool while the split and the
-        # block model draws run on the main thread
-        t0 = time.perf_counter()
-        stats_futures = None
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    with pool as executor:
         if stats is None:
-            try:
-                tables = cluster_edge_tables(g, c)
-                if executor is not None:
-                    stats_futures = [executor.submit(_stats_task, t) for t in tables]
-            except Exception as exc:
-                raise PipelineError("stats", str(exc))
+            # read after sampling: on a pool the tasks overlap split and sampling
+            with _stage(report, "stats"):
+                stats_results = _map(executor, _stats_task, cluster_edge_tables(g, c), workers)
 
-        try:
-            t = time.perf_counter()
+        with _stage(report, "split"):
             split_res = split(g, c)
-            timings["split"] = time.perf_counter() - t
-        except Exception as exc:
-            raise PipelineError("split", str(exc))
 
-        try:
-            t = time.perf_counter()
-            gc_edges = split_res.g_c.edge_array()
-            bm_c = build_block_matrix(gc_edges, split_res.c_c, workers=workers)
-            bm_s = build_block_matrix(split_res.g_s_edges, split_res.c_s,
-                                      workers=workers)
-            timings["block_matrices"] = time.perf_counter() - t
-        except Exception as exc:
-            raise PipelineError("block_matrices", str(exc))
+        with _stage(report, "block_matrices"):
+            bm_c = build_block_matrix(split_res.g_c.edge_array(), split_res.c_c)
+            bm_s = build_block_matrix(split_res.g_s_edges, split_res.c_s)
 
-        try:
-            t = time.perf_counter()
+        with _stage(report, "sampling"):
             w_c = reference_degrees(split_res.g_c).astype(np.float64)
             w_s = degree_weights(split_res.g_s_edges, g.n)
             seed_c, seed_s = (int(x) for x in
                               np.random.SeedSequence(seed).generate_state(2, np.uint64))
+            gc_set, rep_c = sample_dcsbm(bm_c, split_res.c_c, w_c, seed_c,
+                                         max_retries=sbm_max_retries)
+            gs_set, rep_s = sample_dcsbm(bm_s, split_res.c_s, w_s, seed_s,
+                                         max_retries=sbm_max_retries)
 
-            def draw_clustered():
-                return sample_dcsbm(bm_c, split_res.c_c, w_c, seed_c,
-                                    max_retries=sbm_max_retries)
-
-            def draw_singleton():
-                return sample_dcsbm(bm_s, split_res.c_s, w_s, seed_s,
-                                    max_retries=sbm_max_retries)
-
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=2) as tpool:
-                    fc = tpool.submit(draw_clustered)
-                    fs = tpool.submit(draw_singleton)
-                    gc_set, rep_c = fc.result()
-                    gs_set, rep_s = fs.result()
-            else:
-                gc_set, rep_c = draw_clustered()
-                gs_set, rep_s = draw_singleton()
-            timings["sampling"] = time.perf_counter() - t
-        except Exception as exc:
-            raise PipelineError("sampling", str(exc))
-
-        try:
+        with _stage(report, "stats"):
             if stats is None:
-                if stats_futures is not None:
-                    results = [f.result() for f in stats_futures]
-                else:
-                    results = [_stats_task(tb) for tb in tables]
-                stats = {s.cluster_id: s for s in results}
+                stats = {s.cluster_id: s for s in stats_results}
             validate_stats_cover(stats, c)
-            timings["stats"] = time.perf_counter() - t0
-        except PipelineError:
-            raise
-        except Exception as exc:
-            raise PipelineError("stats", str(exc))
 
-        try:
-            t = time.perf_counter()
+        with _stage(report, "repair"):
             gc_sample = gc_set.to_array()
-            items, inter = _build_work_items(split_res, gc_sample, stats)
+            items, _ = _build_work_items(split_res, gc_sample, stats)
             args = [(item, variant, partner_cap) for item in items]
-            if executor is not None and args:
-                chunk = max(1, len(args) // (workers * 8))
-                outcomes = list(executor.map(rp.repair_cluster_task, args,
-                                             chunksize=chunk))
-            else:
-                outcomes = [rp.repair_cluster_task(a) for a in args]
-            timings["repair"] = time.perf_counter() - t
-        except Exception as exc:
-            raise PipelineError("repair", str(exc))
-    finally:
-        if executor is not None:
-            executor.shutdown()
+            outcomes = list(_map(executor, rp.repair_cluster_task, args, workers))
 
-    try:
-        t = time.perf_counter()
+    with _stage(report, "merge"):
         added_counts = {s: 0 for s in (rp.STAGE_MIN_DEGREE, rp.STAGE_STITCH,
                                        rp.STAGE_MINCUT, rp.STAGE_DEGREE_MATCH)}
         added_parent = []
@@ -306,14 +268,13 @@ def synthesize(g: CsrGraph, c: Clustering, variant: str, seed: int,
                 f"cluster {item.cluster_id}: {w}" for w in out.warnings)
 
         # merged clustered part: sampled edges plus everything repair added
-        gc_parts = [gc_sample] + added_parent
-        gc_merged, gc_dups = _merge_arrays(split_res.g_c.n, gc_parts)
+        gc_merged, gc_dups = _merge_arrays(split_res.g_c.n, [gc_sample] + added_parent)
         if gc_dups:
             raise PipelineError(
                 "merge", f"repair produced {gc_dups} duplicate edges")
 
-        if variant == rp.VARIANT_PLUS:
-            tg = time.perf_counter()
+    if variant == rp.VARIANT_PLUS:
+        with _stage(report, "degree_match_global"):
             cur_deg = np.bincount(gc_merged.ravel(), minlength=split_res.g_c.n) \
                 if gc_merged.size else np.zeros(split_res.g_c.n, dtype=np.int64)
             deficits = reference_degrees(split_res.g_c) - cur_deg
@@ -328,13 +289,12 @@ def synthesize(g: CsrGraph, c: Clustering, variant: str, seed: int,
             for node, d in sorted(residual.items()):
                 parent = int(split_res.gc_nodes[node])
                 residuals.append((int(c.assignment[parent]), parent, int(d)))
-            timings["degree_match_global"] = time.perf_counter() - tg
 
+    with _stage(report, "merge"):
         gc_parent = split_res.gc_nodes[gc_merged] if gc_merged.size \
             else np.empty((0, 2), dtype=np.int64)
         gs_arr = gs_set.to_array()
         final, dups = _merge_arrays(g.n, [gc_parent, gs_arr])
-        timings["merge"] = time.perf_counter() - t
 
         report.edge_counts = {
             "reference": g.m,
@@ -373,12 +333,8 @@ def synthesize(g: CsrGraph, c: Clustering, variant: str, seed: int,
                                    int(bm.block_ids[bm.s[i]]),
                                    int(bm.counts[i]),
                                    int(rep.coordinate_shortfall[i])))
-        return SynthesisResult(edges=final, report=report, residuals=residuals,
-                               shortfalls=shortfalls, stats=stats)
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("merge", str(exc))
+    return SynthesisResult(edges=final, report=report, residuals=residuals,
+                           shortfalls=shortfalls, stats=stats)
 
 
 def _write_outputs(out_dir: Path, result: SynthesisResult, labels: np.ndarray,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mincut import stoer_wagner_dense
+from .mincut import dense_adjacency, stoer_wagner_dense
 
 DEFAULT_PARTNER_CAP = 64
 
@@ -99,6 +99,12 @@ def min_degree_target(k: int, size: int) -> int:
 
 
 def _enforce_min_degree(lg: _LocalGraph, k: int) -> list:
+    """Raise every member's intra-cluster degree to min(max(1, k), size-1).
+
+    Deficient nodes pair most-deficient-first; a node with no deficient
+    partner takes the lowest-degree non-adjacent member. Returns the added
+    local edges.
+    """
     size = lg.size
     added = []
     if size < 2:
@@ -167,6 +173,11 @@ def _local_components(lg: _LocalGraph) -> list:
 
 
 def _stitch(lg: _LocalGraph) -> list:
+    """Chain the cluster's components into one.
+
+    Components are ordered by smallest member; one edge joins the lowest
+    degree node (ties by id) of component i to that of component i+1.
+    """
     comps = _local_components(lg)
     if len(comps) <= 1:
         return []
@@ -175,15 +186,12 @@ def _stitch(lg: _LocalGraph) -> list:
     return [lg.add(a, b) for a, b in zip(reps, reps[1:])]
 
 
-def _local_min_cut(lg: _LocalGraph) -> tuple[int, list]:
-    w = np.zeros((lg.size, lg.size), dtype=np.int64)
-    for u, v in lg.edges:
-        w[u, v] = 1
-        w[v, u] = 1
-    return stoer_wagner_dense(w)
-
-
 def _repair_mincut(lg: _LocalGraph, k: int) -> tuple[list, list]:
+    """Add edges until the cluster's exact min cut reaches min(k, size-1).
+
+    Each round recomputes the cut and adds a single edge across it between
+    the lowest-degree non-adjacent pair. Returns (added, warnings).
+    """
     size = lg.size
     added = []
     warnings = []
@@ -191,7 +199,7 @@ def _repair_mincut(lg: _LocalGraph, k: int) -> tuple[list, list]:
     if size < 2 or target <= 0:
         return added, warnings
     while True:
-        value, side = _local_min_cut(lg)
+        value, side = stoer_wagner_dense(dense_adjacency(size, list(lg.edges)))
         if value >= target:
             break
         inside = set(side)
@@ -285,51 +293,12 @@ def _deficit_matching(cur: dict, is_adjacent, add_edge,
     return added, residual
 
 
-# ===== Public per-cluster operations =====
-
-
-def enforce_min_degree(item: ClusterWork) -> list:
-    """Raise every member's intra-cluster degree to min(max(1, k), size-1).
-
-    Deficient nodes pair most-deficient-first; a node with no deficient
-    partner takes the lowest-degree non-adjacent member. Returns the added
-    local edges.
-    """
-    lg = _LocalGraph(len(item.members), item.edges)
-    return _enforce_min_degree(lg, item.target_cut)
-
-
-def stitch_components(item: ClusterWork, combined: bool = False) -> list:
-    """Chain the cluster's components into one.
-
-    Components are ordered by smallest member; one edge joins the lowest
-    degree node (ties by id) of component i to that of component i+1.
-    combined marks the fully per-cluster variant's ordering, where
-    stitching runs before degree enforcement; the edge rule is identical.
-    """
-    lg = _LocalGraph(len(item.members), item.edges)
-    return _stitch(lg)
-
-
-def repair_mincut(item: ClusterWork) -> tuple[list, list]:
-    """Add edges until the cluster's exact min cut reaches min(k, size-1).
-
-    Each round recomputes the cut and adds a single edge across it between
-    the lowest-degree non-adjacent pair. Returns (added, warnings).
-    """
-    lg = _LocalGraph(len(item.members), item.edges)
-    return _repair_mincut(lg, item.target_cut)
-
-
-def match_degrees_per_cluster(item: ClusterWork,
-                              partner_cap: int = DEFAULT_PARTNER_CAP
-                              ) -> tuple[list, dict]:
-    """Degree matching allowed to add intra-cluster edges only.
+def _match_within(lg: _LocalGraph, item: ClusterWork, partner_cap: int) -> tuple[list, dict]:
+    """Deficit matching inside one cluster, on its current local graph.
 
     Deficits count the member's full current degree (intra plus its fixed
     outward edges) against its reference degree.
     """
-    lg = _LocalGraph(len(item.members), item.edges)
     cur = {}
     for v in range(lg.size):
         d = int(item.ref_deg[v]) - int(item.ext_deg[v]) - lg.deg[v]
@@ -341,6 +310,13 @@ def match_degrees_per_cluster(item: ClusterWork,
         add_edge=lg.add,
         partner_cap=partner_cap,
     )
+
+
+def match_degrees_per_cluster(item: ClusterWork,
+                              partner_cap: int = DEFAULT_PARTNER_CAP
+                              ) -> tuple[list, dict]:
+    """Degree matching allowed to add intra-cluster edges only."""
+    return _match_within(_LocalGraph(len(item.members), item.edges), item, partner_cap)
 
 
 def match_degrees_global(edge_set: set, deficits: np.ndarray,
@@ -378,19 +354,7 @@ def process_cluster(item: ClusterWork, variant: str,
     out.added[STAGE_MINCUT] = cut_added
     out.warnings.extend(warnings)
     if variant == VARIANT_PP:
-        cur = {}
-        for v in range(lg.size):
-            d = int(item.ref_deg[v]) - int(item.ext_deg[v]) - lg.deg[v]
-            if d > 0:
-                cur[v] = d
-        matched, residual = _deficit_matching(
-            cur,
-            is_adjacent=lambda u, v: v in lg.adj[u],
-            add_edge=lg.add,
-            partner_cap=partner_cap,
-        )
-        out.added[STAGE_DEGREE_MATCH] = matched
-        out.residual = residual
+        out.added[STAGE_DEGREE_MATCH], out.residual = _match_within(lg, item, partner_cap)
     return out
 
 

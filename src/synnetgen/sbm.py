@@ -55,13 +55,11 @@ class BlockMatrix:
 
 
 def build_block_matrix(edges, c: Clustering,
-                       chunk_size: int = DEFAULT_CHUNK_SIZE,
-                       workers: int = 1) -> BlockMatrix:
+                       chunk_size: int = DEFAULT_CHUNK_SIZE) -> BlockMatrix:
     """Tally edges into cluster-pair coordinates.
 
     Edges are processed in fixed-size chunks whose partial tallies are
-    merged by coordinate, so the result is identical for any chunk size
-    or worker count.
+    merged by coordinate, so the result is identical for any chunk size.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
@@ -79,17 +77,7 @@ def build_block_matrix(edges, c: Clustering,
         keys, counts = np.unique(lo * b + hi, return_counts=True)
         return keys, counts
 
-    chunks = [arr[i:i + chunk_size] for i in range(0, len(arr), chunk_size)]
-    if not chunks:
-        parts = []
-    elif workers > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(tally, chunks))
-    else:
-        parts = [tally(chunk) for chunk in chunks]
-
+    parts = [tally(arr[i:i + chunk_size]) for i in range(0, len(arr), chunk_size)]
     if parts:
         all_keys = np.concatenate([p[0] for p in parts])
         all_counts = np.concatenate([p[1] for p in parts])

@@ -92,8 +92,9 @@ def test_min_cut_of_edges_agrees_with_csr_route():
         n = int(rng.integers(2, 10))
         arr = random_edge_array(rng, n, 0.4)
         a = global_min_cut(build_csr(arr, n))
-        b = min_cut_of_edges(n, arr.tolist())
+        b = min_cut_of_edges(n, arr)
         assert a.value == b.value
+        assert a.side.tolist() == b.side.tolist()
 
 
 def test_cross_check_networkx():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -9,14 +10,13 @@ from synnetgen import (
     PipelineError,
     build_csr,
     compute_stats,
-    merge_edge_sets,
     nmi,
     run_both_variants,
     run_pipeline,
     split,
     synthesize,
 )
-from synnetgen.graphs import EdgeSet, load_clustering, load_edge_list
+from synnetgen.graphs import load_clustering, load_edge_list
 from synnetgen.pipeline import _build_work_items, _merge_arrays
 
 from helpers import (
@@ -35,11 +35,12 @@ def small_reference():
 
 
 def test_merge_edge_sets_counts_overlap():
-    a = EdgeSet([(0, 1), (1, 2)])
-    b = EdgeSet([(1, 2), (2, 3)])
-    merged, dup = merge_edge_sets(a, b)
+    # the pipeline's merge of edge sets is _merge_arrays on canonical arrays
+    a = np.array([[0, 1], [1, 2]])
+    b = np.array([[1, 2], [2, 3]])
+    merged, dup = _merge_arrays(4, [a, b])
     assert dup == 1
-    assert merged.to_array().tolist() == [[0, 1], [1, 2], [2, 3]]
+    assert merged.tolist() == [[0, 1], [1, 2], [2, 3]]
 
 
 def test_merge_arrays():
@@ -115,6 +116,20 @@ def test_determinism_across_workers(small_reference):
         assert runs[0].report.edge_counts == runs[1].report.edge_counts
         assert runs[0].residuals == runs[1].residuals
         assert runs[0].shortfalls == runs[1].shortfalls
+
+
+def test_stage_seconds_are_disjoint(small_reference):
+    # stages do not overlap, so their seconds cannot add up to more than the call
+    g, c = small_reference
+    for variant in ("plus", "pp"):
+        for workers in (1, 2):
+            t = time.perf_counter()
+            result = synthesize(g, c, variant, seed=3, workers=workers)
+            wall = time.perf_counter() - t
+            seconds = result.report.stage_seconds
+            assert {"stats", "split", "block_matrices", "sampling", "repair",
+                    "merge"} <= set(seconds)
+            assert sum(seconds.values()) <= wall
 
 
 def test_determinism_same_seed_same_result(small_reference):

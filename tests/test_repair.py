@@ -6,14 +6,17 @@ import pytest
 
 from synnetgen import (
     ClusterWork,
-    enforce_min_degree,
     match_degrees_global,
     match_degrees_per_cluster,
     process_cluster,
-    repair_mincut,
-    stitch_components,
 )
-from synnetgen.repair import min_degree_target
+from synnetgen.repair import (
+    _enforce_min_degree,
+    _LocalGraph,
+    _repair_mincut,
+    _stitch,
+    min_degree_target,
+)
 
 from helpers import (
     brute_force_min_cut,
@@ -30,6 +33,11 @@ def work(size, edges, k=1, ref=None, ext=None, cid=0):
         ref_deg=np.array(ref if ref is not None else [0] * size, dtype=np.int64),
         ext_deg=np.array(ext if ext is not None else [0] * size, dtype=np.int64),
     )
+
+
+def local(size, edges):
+    """A stage's input: the cluster's local graph, which the stage mutates."""
+    return _LocalGraph(size, {(min(u, v), max(u, v)) for u, v in edges})
 
 
 def degrees_of(edges, size):
@@ -65,23 +73,23 @@ def test_min_degree_target_clamps():
 
 
 def test_enforce_min_degree_isolated_nodes():
-    item = work(4, [], k=1)
-    added = enforce_min_degree(item)
+    lg = local(4, [])
+    added = _enforce_min_degree(lg, 1)
     assert len(added) >= 2
-    assert min(degrees_of(item.edges, 4)) >= 1
+    assert min(degrees_of(lg.edges, 4)) >= 1
 
 
 def test_enforce_min_degree_idempotent_on_cycle():
     c4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    item = work(4, c4, k=2)
-    assert enforce_min_degree(item) == []
-    assert len(item.edges) == 4
+    lg = local(4, c4)
+    assert _enforce_min_degree(lg, 2) == []
+    assert len(lg.edges) == 4
 
 
 def test_enforce_min_degree_five_isolated_k2():
-    item = work(5, [], k=2)
-    added = enforce_min_degree(item)
-    deg = degrees_of(item.edges, 5)
+    lg = local(5, [])
+    added = _enforce_min_degree(lg, 2)
+    deg = degrees_of(lg.edges, 5)
     assert min(deg) >= 2
     # exhaustive minimum is 5 edges; greedy pairing achieves it here
     assert min_edges_for_degree_floor(5, [], 2) == 5
@@ -98,35 +106,35 @@ def test_enforce_min_degree_between_oracle_and_greedy_bound():
             e for e in itertools.combinations(range(size), 2)
             if rng.random() < 0.3
         ]
-        item = work(size, edges, k=k)
-        before = degrees_of(item.edges, size)
+        lg = local(size, edges)
+        before = degrees_of(lg.edges, size)
         total_deficit = sum(max(0, t - d) for d in before)
-        added = enforce_min_degree(item)
-        deg = degrees_of(item.edges, size)
+        added = _enforce_min_degree(lg, k)
+        deg = degrees_of(lg.edges, size)
         assert min(deg) >= t
-        assert set(edges) <= item.edges  # only additions
+        assert set(edges) <= lg.edges  # only additions
         oracle = min_edges_for_degree_floor(size, edges, t)
         assert oracle <= len(added) <= total_deficit
 
 
 def test_stitch_two_disjoint_edges():
-    item = work(4, [(0, 1), (2, 3)])
-    added = stitch_components(item)
+    lg = local(4, [(0, 1), (2, 3)])
+    added = _stitch(lg)
     assert len(added) == 1
-    assert len(components_of(item.edges, 4)) == 1
+    assert len(components_of(lg.edges, 4)) == 1
 
 
 def test_stitch_connected_is_noop():
-    item = work(3, [(0, 1), (1, 2)])
-    assert stitch_components(item) == []
+    lg = local(3, [(0, 1), (1, 2)])
+    assert _stitch(lg) == []
 
 
 def test_stitch_three_components_chains_min_degree_reps():
     # components {0}, {1,2}, {3,4,5}; reps: 0, 1 (tie by id), 3 (degree 1)
-    item = work(6, [(1, 2), (3, 4), (4, 5)])
-    added = stitch_components(item)
+    lg = local(6, [(1, 2), (3, 4), (4, 5)])
+    added = _stitch(lg)
     assert added == [(0, 1), (1, 3)]
-    assert len(components_of(item.edges, 6)) == 1
+    assert len(components_of(lg.edges, 6)) == 1
 
 
 def test_stitch_oracle_random():
@@ -138,37 +146,30 @@ def test_stitch_oracle_random():
             e for e in itertools.combinations(range(size), 2)
             if rng.random() < 0.12
         ]
-        item = work(size, edges)
+        lg = local(size, edges)
         comps = components_of(set(map(tuple, edges)), size)
         deg = degrees_of(edges, size)
         reps = [min(c, key=lambda v: (deg[v], v)) for c in comps]
         expect = [
             (min(a, b), max(a, b)) for a, b in zip(reps, reps[1:])
         ]
-        added = stitch_components(item)
+        added = _stitch(lg)
         assert added == expect
-        assert len(components_of(item.edges, size)) == 1
-
-
-def test_stitch_combined_flag_same_rule():
-    edges = [(1, 2), (3, 4), (4, 5)]
-    a = work(6, edges)
-    b = work(6, edges)
-    assert stitch_components(a, combined=True) == stitch_components(b)
+        assert len(components_of(lg.edges, size)) == 1
 
 
 def test_repair_mincut_path_to_two():
-    item = work(4, [(0, 1), (1, 2), (2, 3)], k=2)
-    added, warnings = repair_mincut(item)
+    lg = local(4, [(0, 1), (1, 2), (2, 3)])
+    added, warnings = _repair_mincut(lg, 2)
     assert warnings == []
     assert len(added) >= 1
-    assert brute_force_min_cut(4, item.edges) >= 2
+    assert brute_force_min_cut(4, lg.edges) >= 2
 
 
 def test_repair_mincut_k4_noop():
     k4 = list(itertools.combinations(range(4), 2))
-    item = work(4, k4, k=3)
-    added, warnings = repair_mincut(item)
+    lg = local(4, k4)
+    added, warnings = _repair_mincut(lg, 3)
     assert added == [] and warnings == []
 
 
@@ -183,19 +184,19 @@ def test_repair_mincut_random_eight_node():
         if len(components_of(set(edges), 8)) != 1:
             continue
         trials += 1
-        item = work(8, edges, k=3)
-        before = set(item.edges)
-        added, _ = repair_mincut(item)
-        assert before <= item.edges
-        assert len(item.edges) == len(before) + len(added)
-        assert brute_force_min_cut(8, item.edges) >= 3
+        lg = local(8, edges)
+        before = set(lg.edges)
+        added, _ = _repair_mincut(lg, 3)
+        assert before <= lg.edges
+        assert len(lg.edges) == len(before) + len(added)
+        assert brute_force_min_cut(8, lg.edges) >= 3
 
 
 def test_repair_mincut_target_clamped_by_size():
     # size 3, k=5: target is 2, reachable
-    item = work(3, [(0, 1), (1, 2)], k=5)
-    repair_mincut(item)
-    assert brute_force_min_cut(3, item.edges) >= 2
+    lg = local(3, [(0, 1), (1, 2)])
+    _repair_mincut(lg, 5)
+    assert brute_force_min_cut(3, lg.edges) >= 2
 
 
 def test_match_per_cluster_triangle():
