@@ -9,6 +9,8 @@ from a precomputed file must be interchangeable with recomputing them.
 from __future__ import annotations
 
 import csv
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,37 +30,30 @@ class ClusterStats:
     mincut: int
 
 
-def cluster_edge_tables(g: CsrGraph, c: Clustering):
-    """Intra-cluster edges of every multi-node cluster, in local indices.
+def _local_edge_groups(edges: np.ndarray, c: Clustering):
+    """Group a canonical edge array by cluster and localise it.
 
-    Returns a list of (cluster_id, size, local_edge_array) ordered by
-    cluster id. Local node i is the cluster's i-th member in ascending
-    parent id order.
+    Yields (cluster_id, members, local_edges) for every multi-node cluster
+    of c in cluster id order. Local node i is the cluster's i-th member in
+    ascending id order; edges between two clusters are dropped.
     """
-    arr = g.edge_array()
-    tables = []
-    if arr.size:
-        au = c.assignment[arr[:, 0]]
-        av = c.assignment[arr[:, 1]]
-        intra = (au == av) & (c.node_sizes[arr[:, 0]] > 1)
-        intra_edges = arr[intra]
-        keys = au[intra]
-        order = np.argsort(keys, kind="stable")
-        intra_edges = intra_edges[order]
-        keys = keys[order]
-        uniq, starts = np.unique(keys, return_index=True)
-        bounds = np.concatenate((starts, [len(keys)]))
-        by_cluster = {int(cid): intra_edges[bounds[i]:bounds[i + 1]]
-                      for i, cid in enumerate(uniq)}
-    else:
-        by_cluster = {}
+    keys = c.assignment[edges[:, 0]]
+    same = keys == c.assignment[edges[:, 1]]
+    keys = keys[same]
+    order = np.argsort(keys, kind="stable")
+    intra, keys = edges[same][order], keys[order]
+    uniq, starts = np.unique(keys, return_index=True)
+    by_cluster = dict(zip(uniq.tolist(), np.split(intra, starts[1:])))
     empty = np.empty((0, 2), dtype=np.int64)
     for cid in c.multi_cluster_ids.tolist():
         members = c.members(cid)
-        edges = by_cluster.get(cid, empty)
-        local = np.searchsorted(members, edges) if edges.size else edges
-        tables.append((cid, len(members), local))
-    return tables
+        yield cid, members, np.searchsorted(members, by_cluster.get(cid, empty))
+
+
+def cluster_edge_tables(g: CsrGraph, c: Clustering):
+    """(cluster_id, size, local intra edges) of every multi-node cluster, by id."""
+    return [(cid, len(members), local)
+            for cid, members, local in _local_edge_groups(g.edge_array(), c)]
 
 
 def _stats_task(task) -> ClusterStats:
@@ -70,20 +65,25 @@ def _stats_task(task) -> ClusterStats:
 
 def compute_stats(g: CsrGraph, c: Clustering, workers: int = 1) -> dict[int, ClusterStats]:
     """ClusterStats for every cluster of size > 1, keyed by cluster id."""
-    tasks = cluster_edge_tables(g, c)
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_stats_task, tasks, chunksize=_chunksize(len(tasks), workers)))
-    else:
-        results = [_stats_task(t) for t in tasks]
-    return {s.cluster_id: s for s in results}
+    with _pool(workers) as executor:
+        return {s.cluster_id: s for s in executor(_stats_task, cluster_edge_tables(g, c))}
 
 
-def _chunksize(n_tasks: int, workers: int) -> int:
-    """Tasks per pool round trip: about eight chunks per worker."""
-    return max(1, n_tasks // (max(1, workers) * 8))
+@contextmanager
+def _pool(workers: int):
+    """Yield executor(fn, items): fn's lazy in-order results over a list.
+
+    With workers > 1 it submits every task to one process pool at once, so
+    the work starts before the results are read; otherwise it is map.
+    """
+    if workers <= 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        def executor(fn, items):
+            # about eight chunks per worker
+            return pool.map(fn, items, chunksize=max(1, len(items) // (workers * 8)))
+        yield executor
 
 
 def reference_degrees(g: CsrGraph) -> np.ndarray:

@@ -7,28 +7,35 @@ Dependency structure of one run:
                       +----> singleton SBM --+    matching for the    +-> merge
                                                   "plus" variant)
 
+A run has two halves. _prepare does everything that does not depend on
+the variant: stats, split, block matrices and both block model draws.
+_finish does the rest for one variant: the per-cluster work items and
+repair, the merge, the global degree matching for "plus", and the report.
+synthesize prepares and finishes once; run_both_variants prepares once and
+finishes once per variant. Every edge set that passes from one half to the
+other is a canonical sorted int64 array.
+
 With workers > 1 one process pool serves the whole call: the stats tasks
 run on it while the main process splits and draws both block models, then
-the per-cluster repair fans out over it. Results are aggregated in cluster
-id order, which keeps the output bytes identical for any worker count at a
-fixed seed.
+the per-cluster repair of every finish fans out over it. Results are
+aggregated in cluster id order, which keeps the output bytes identical for
+any worker count at a fixed seed.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import repair as rp
 from .cluster_stats import (
-    _chunksize,
+    _local_edge_groups,
+    _pool,
     _stats_task,
     cluster_edge_tables,
     read_stats_csv,
@@ -47,14 +54,11 @@ from .graphs import (
 from .sbm import build_block_matrix, degree_weights, sample_dcsbm
 from .splitting import SplitResult, split
 
-log = logging.getLogger(__name__)
-
 EDGES_FILE = "synthetic_network.tsv"
 CLUSTERING_FILE = "ground_truth_clustering.tsv"
 REPORT_FILE = "run_report.json"
 RESIDUALS_FILE = "residual_deficits.csv"
 SHORTFALL_FILE = "sbm_shortfall.csv"
-STATS_FILE = "cluster_stats.csv"
 
 
 class PipelineError(RuntimeError):
@@ -92,18 +96,9 @@ class RunReport:
     warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "seed": self.seed,
-            "workers": self.workers,
-            "nodes": self.nodes,
-            "edge_counts": self.edge_counts,
-            "stage_seconds": {k: round(v, 6) for k, v in self.stage_seconds.items()},
-            "sbm": self.sbm,
-            "residual_deficit_total": self.residual_deficit_total,
-            "residual_node_count": self.residual_node_count,
-            "warnings": self.warnings,
-        }
+        out = asdict(self)
+        out["stage_seconds"] = {k: round(v, 6) for k, v in self.stage_seconds.items()}
+        return out
 
 
 @dataclass
@@ -128,43 +123,13 @@ def _merge_arrays(n: int, parts: list) -> tuple[np.ndarray, int]:
 
 
 def _build_work_items(split_res: SplitResult, gc_sample: np.ndarray,
-                      stats: dict) -> tuple[list, np.ndarray]:
-    """Per-cluster repair inputs from the sampled clustered part.
-
-    Returns (items sorted by cluster id, inter-cluster sampled edges).
-    """
-    g_c = split_res.g_c
-    c_c = split_res.c_c
-    n_c = g_c.n
-    ref_deg = reference_degrees(g_c)
-    sampled_deg = np.bincount(gc_sample.ravel(), minlength=n_c) if gc_sample.size \
-        else np.zeros(n_c, dtype=np.int64)
-    if gc_sample.size:
-        au = c_c.assignment[gc_sample[:, 0]]
-        av = c_c.assignment[gc_sample[:, 1]]
-        same = au == av
-        intra = gc_sample[same]
-        inter = gc_sample[~same]
-        keys = au[same]
-        order = np.argsort(keys, kind="stable")
-        intra = intra[order]
-        keys = keys[order]
-        uniq, starts = np.unique(keys, return_index=True)
-        bounds = np.concatenate((starts, [len(keys)]))
-        by_cluster = {int(cid): intra[bounds[i]:bounds[i + 1]]
-                      for i, cid in enumerate(uniq)}
-    else:
-        inter = np.empty((0, 2), dtype=np.int64)
-        by_cluster = {}
+                      stats: dict) -> list:
+    """Per-cluster repair inputs from the sampled clustered part, by cluster id."""
+    ref_deg = reference_degrees(split_res.g_c)
+    sampled_deg = np.bincount(gc_sample.ravel(), minlength=split_res.g_c.n)
     items = []
-    empty = np.empty((0, 2), dtype=np.int64)
-    for cid in c_c.cluster_ids.tolist():
-        members = c_c.members(cid)
-        edges_parent = by_cluster.get(cid, empty)
-        local = np.searchsorted(members, edges_parent) if edges_parent.size else empty
-        size = len(members)
-        intra_deg = np.bincount(local.ravel(), minlength=size) if local.size \
-            else np.zeros(size, dtype=np.int64)
+    for cid, members, local in _local_edge_groups(gc_sample, split_res.c_c):
+        intra_deg = np.bincount(local.ravel(), minlength=len(members))
         items.append(rp.ClusterWork(
             cluster_id=cid,
             members=members,
@@ -173,12 +138,12 @@ def _build_work_items(split_res: SplitResult, gc_sample: np.ndarray,
             ref_deg=ref_deg[members],
             ext_deg=sampled_deg[members] - intra_deg,
         ))
-    return items, inter
+    return items
 
 
 @contextmanager
-def _stage(report: RunReport, name: str):
-    """Time the with-body into report.stage_seconds[name].
+def _stage(seconds: dict, name: str):
+    """Time the with-body into seconds[name].
 
     A stage entered again adds to its seconds. Any error other than a
     PipelineError is re-raised as PipelineError(name).
@@ -191,65 +156,102 @@ def _stage(report: RunReport, name: str):
     except Exception as exc:
         raise PipelineError(name, str(exc)) from exc
     finally:
-        seconds = report.stage_seconds
         seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t
 
 
-def _map(executor, fn, items: list, workers: int):
-    """Lazy in-order results of fn over items, computed on the pool if there is one.
+@dataclass
+class _Prepared:
+    """The variant-independent part of a run, shared by every finish."""
 
-    executor.map submits every task at once, so pool work starts before the
-    results are read.
+    g: CsrGraph
+    seed: int
+    split: SplitResult
+    stats: dict
+    gc_sample: np.ndarray      # canonical, clustered-part local ids
+    gs_sample: np.ndarray      # canonical, parent ids
+    sbm: dict                  # the run report's sbm section
+    shortfalls: list
+    stage_seconds: dict
+
+
+def _prepare(g: CsrGraph, c: Clustering, seed: int, executor,
+             stats: dict | None, sbm_max_retries: int) -> _Prepared:
+    """Stats, split, block matrices and both block model draws.
+
+    executor is the map function of _pool. Injected stats must cover every
+    multi-node cluster; a gap raises GraphFormatError, not a stage error.
     """
-    if executor is None:
-        return map(fn, items)
-    return executor.map(fn, items, chunksize=_chunksize(len(items), workers))
+    seconds: dict = {}
+    if stats is not None:
+        validate_stats_cover(stats, c)
+    else:
+        # read after sampling: on a pool the tasks overlap split and sampling
+        with _stage(seconds, "stats"):
+            stats_results = executor(_stats_task, cluster_edge_tables(g, c))
+
+    with _stage(seconds, "split"):
+        split_res = split(g, c)
+
+    with _stage(seconds, "block_matrices"):
+        bm_c = build_block_matrix(split_res.g_c.edge_array(), split_res.c_c)
+        bm_s = build_block_matrix(split_res.g_s_edges, split_res.c_s)
+
+    with _stage(seconds, "sampling"):
+        w_c = reference_degrees(split_res.g_c).astype(np.float64)
+        w_s = degree_weights(split_res.g_s_edges, g.n)
+        seed_c, seed_s = (int(x) for x in
+                          np.random.SeedSequence(seed).generate_state(2, np.uint64))
+        gc_sample, rep_c = sample_dcsbm(bm_c, split_res.c_c, w_c, seed_c,
+                                        max_retries=sbm_max_retries)
+        gs_sample, rep_s = sample_dcsbm(bm_s, split_res.c_s, w_s, seed_s,
+                                        max_retries=sbm_max_retries)
+
+    if stats is None:
+        with _stage(seconds, "stats"):
+            stats = {s.cluster_id: s for s in stats_results}
+
+    shortfalls = []
+    for part, bm, rep in (("clustered", bm_c, rep_c), ("singleton", bm_s, rep_s)):
+        for i in np.flatnonzero(rep.coordinate_shortfall).tolist():
+            shortfalls.append((part,
+                               int(bm.block_ids[bm.r[i]]),
+                               int(bm.block_ids[bm.s[i]]),
+                               int(bm.counts[i]),
+                               int(rep.coordinate_shortfall[i])))
+    sbm = {
+        "clustered_requested": rep_c.requested,
+        "clustered_shortfall": rep_c.shortfall,
+        "singleton_requested": rep_s.requested,
+        "singleton_shortfall": rep_s.shortfall,
+        "single_node_intra_blocks": rep_c.single_node_intra_blocks
+        + rep_s.single_node_intra_blocks,
+    }
+    return _Prepared(g=g, seed=seed, split=split_res, stats=stats,
+                     gc_sample=gc_sample, gs_sample=gs_sample, sbm=sbm,
+                     shortfalls=shortfalls, stage_seconds=seconds)
 
 
-def synthesize(g: CsrGraph, c: Clustering, variant: str, seed: int,
-               workers: int = 1, stats: dict | None = None,
-               sbm_max_retries: int = 30,
-               partner_cap: int = rp.DEFAULT_PARTNER_CAP) -> SynthesisResult:
-    """Generate a synthetic counterpart of (g, c). Pure in-memory pipeline."""
-    if variant not in rp.VARIANTS:
-        raise PipelineError("configure", f"unknown variant {variant!r}")
-    report = RunReport(variant=variant, seed=seed, workers=workers, nodes=g.n)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
-    with pool as executor:
-        if stats is None:
-            # read after sampling: on a pool the tasks overlap split and sampling
-            with _stage(report, "stats"):
-                stats_results = _map(executor, _stats_task, cluster_edge_tables(g, c), workers)
+def _finish(prepared: _Prepared, variant: str, executor, partner_cap: int,
+            workers: int) -> SynthesisResult:
+    """Repair, merge, the global matcher for plus, and the report.
 
-        with _stage(report, "split"):
-            split_res = split(g, c)
+    Builds its own work items, because repair mutates their edge sets, so
+    any number of finishes can share one prepared run.
+    """
+    split_res = prepared.split
+    n_c = split_res.g_c.n
+    gc_sample = prepared.gc_sample
+    report = RunReport(variant=variant, seed=prepared.seed, workers=workers,
+                       nodes=prepared.g.n, stage_seconds=dict(prepared.stage_seconds),
+                       sbm=dict(prepared.sbm))
+    seconds = report.stage_seconds
 
-        with _stage(report, "block_matrices"):
-            bm_c = build_block_matrix(split_res.g_c.edge_array(), split_res.c_c)
-            bm_s = build_block_matrix(split_res.g_s_edges, split_res.c_s)
+    with _stage(seconds, "repair"):
+        items = _build_work_items(split_res, gc_sample, prepared.stats)
+        args = [(item, variant, partner_cap) for item in items]
+        outcomes = list(executor(rp.repair_cluster_task, args))
 
-        with _stage(report, "sampling"):
-            w_c = reference_degrees(split_res.g_c).astype(np.float64)
-            w_s = degree_weights(split_res.g_s_edges, g.n)
-            seed_c, seed_s = (int(x) for x in
-                              np.random.SeedSequence(seed).generate_state(2, np.uint64))
-            gc_set, rep_c = sample_dcsbm(bm_c, split_res.c_c, w_c, seed_c,
-                                         max_retries=sbm_max_retries)
-            gs_set, rep_s = sample_dcsbm(bm_s, split_res.c_s, w_s, seed_s,
-                                         max_retries=sbm_max_retries)
-
-        with _stage(report, "stats"):
-            if stats is None:
-                stats = {s.cluster_id: s for s in stats_results}
-            validate_stats_cover(stats, c)
-
-        with _stage(report, "repair"):
-            gc_sample = gc_set.to_array()
-            items, _ = _build_work_items(split_res, gc_sample, stats)
-            args = [(item, variant, partner_cap) for item in items]
-            outcomes = list(_map(executor, rp.repair_cluster_task, args, workers))
-
-    with _stage(report, "merge"):
+    with _stage(seconds, "merge"):
         added_counts = {s: 0 for s in (rp.STAGE_MIN_DEGREE, rp.STAGE_STITCH,
                                        rp.STAGE_MINCUT, rp.STAGE_DEGREE_MATCH)}
         added_parent = []
@@ -268,15 +270,14 @@ def synthesize(g: CsrGraph, c: Clustering, variant: str, seed: int,
                 f"cluster {item.cluster_id}: {w}" for w in out.warnings)
 
         # merged clustered part: sampled edges plus everything repair added
-        gc_merged, gc_dups = _merge_arrays(split_res.g_c.n, [gc_sample] + added_parent)
+        gc_merged, gc_dups = _merge_arrays(n_c, [gc_sample] + added_parent)
         if gc_dups:
             raise PipelineError(
                 "merge", f"repair produced {gc_dups} duplicate edges")
 
     if variant == rp.VARIANT_PLUS:
-        with _stage(report, "degree_match_global"):
-            cur_deg = np.bincount(gc_merged.ravel(), minlength=split_res.g_c.n) \
-                if gc_merged.size else np.zeros(split_res.g_c.n, dtype=np.int64)
+        with _stage(seconds, "degree_match_global"):
+            cur_deg = np.bincount(gc_merged.ravel(), minlength=n_c)
             deficits = reference_degrees(split_res.g_c) - cur_deg
             edge_set = set(map(tuple, gc_merged.tolist()))
             matched, residual = rp.match_degrees_global(
@@ -284,24 +285,21 @@ def synthesize(g: CsrGraph, c: Clustering, variant: str, seed: int,
             added_counts[rp.STAGE_DEGREE_MATCH] += len(matched)
             if matched:
                 gc_merged, _ = _merge_arrays(
-                    split_res.g_c.n,
-                    [gc_merged, np.array(matched, dtype=np.int64)])
+                    n_c, [gc_merged, np.array(matched, dtype=np.int64)])
             for node, d in sorted(residual.items()):
                 parent = int(split_res.gc_nodes[node])
-                residuals.append((int(c.assignment[parent]), parent, int(d)))
+                residuals.append((int(split_res.c_c.assignment[node]), parent, int(d)))
 
-    with _stage(report, "merge"):
-        gc_parent = split_res.gc_nodes[gc_merged] if gc_merged.size \
-            else np.empty((0, 2), dtype=np.int64)
-        gs_arr = gs_set.to_array()
-        final, dups = _merge_arrays(g.n, [gc_parent, gs_arr])
+    with _stage(seconds, "merge"):
+        gc_parent = split_res.gc_nodes[gc_merged]
+        final, dups = _merge_arrays(prepared.g.n, [gc_parent, prepared.gs_sample])
 
         report.edge_counts = {
-            "reference": g.m,
+            "reference": prepared.g.m,
             "clustered_reference": int(split_res.g_c.m),
             "singleton_reference": len(split_res.g_s_edges),
             "clustered_sampled": int(len(gc_sample)),
-            "singleton_sampled": int(len(gs_arr)),
+            "singleton_sampled": int(len(prepared.gs_sample)),
             "added_min_degree": added_counts[rp.STAGE_MIN_DEGREE],
             "added_stitch": added_counts[rp.STAGE_STITCH],
             "added_mincut": added_counts[rp.STAGE_MINCUT],
@@ -309,32 +307,25 @@ def synthesize(g: CsrGraph, c: Clustering, variant: str, seed: int,
             "merge_duplicates": dups,
             "output": int(len(final)),
         }
-        expected = len(gc_parent) + len(gs_arr) - dups
+        expected = len(gc_parent) + len(prepared.gs_sample) - dups
         if len(final) != expected:
             raise PipelineError("merge", "edge conservation check failed")
-        report.sbm = {
-            "clustered_requested": rep_c.requested,
-            "clustered_shortfall": rep_c.shortfall,
-            "singleton_requested": rep_s.requested,
-            "singleton_shortfall": rep_s.shortfall,
-            "single_node_intra_blocks": rep_c.single_node_intra_blocks
-            + rep_s.single_node_intra_blocks,
-        }
         report.residual_deficit_total = int(sum(r[2] for r in residuals))
         report.residual_node_count = len(residuals)
-
-        shortfalls = []
-        for part, bm, rep in (("clustered", bm_c, rep_c),
-                              ("singleton", bm_s, rep_s)):
-            nz = np.flatnonzero(rep.coordinate_shortfall)
-            for i in nz.tolist():
-                shortfalls.append((part,
-                                   int(bm.block_ids[bm.r[i]]),
-                                   int(bm.block_ids[bm.s[i]]),
-                                   int(bm.counts[i]),
-                                   int(rep.coordinate_shortfall[i])))
     return SynthesisResult(edges=final, report=report, residuals=residuals,
-                           shortfalls=shortfalls, stats=stats)
+                           shortfalls=prepared.shortfalls, stats=prepared.stats)
+
+
+def synthesize(g: CsrGraph, c: Clustering, variant: str, seed: int,
+               workers: int = 1, stats: dict | None = None,
+               sbm_max_retries: int = 30,
+               partner_cap: int = rp.DEFAULT_PARTNER_CAP) -> SynthesisResult:
+    """Generate a synthetic counterpart of (g, c). Pure in-memory pipeline."""
+    if variant not in rp.VARIANTS:
+        raise PipelineError("configure", f"unknown variant {variant!r}")
+    with _pool(workers) as executor:
+        prepared = _prepare(g, c, seed, executor, stats, sbm_max_retries)
+        return _finish(prepared, variant, executor, partner_cap, workers)
 
 
 def _write_outputs(out_dir: Path, result: SynthesisResult, labels: np.ndarray,
@@ -357,46 +348,51 @@ def _write_outputs(out_dir: Path, result: SynthesisResult, labels: np.ndarray,
         fh.write("\n")
 
 
+def _load_inputs(network, clustering, stats_file):
+    """(labels, graph, clustering, stats or None, seconds to load the first three)."""
+    t0 = time.perf_counter()
+    loaded = load_edge_list(network)
+    g = build_csr(loaded.edges, loaded.n)
+    c = load_clustering(clustering, loaded.labels)
+    load_s = time.perf_counter() - t0
+    stats = read_stats_csv(stats_file) if stats_file is not None else None
+    return loaded.labels, g, c, stats, load_s
+
+
 def run_pipeline(cfg: PipelineConfig) -> SynthesisResult:
     """File-to-file run: load inputs, synthesize, write the output bundle."""
-    t0 = time.perf_counter()
-    loaded = load_edge_list(cfg.network)
-    g = build_csr(loaded.edges, loaded.n)
-    c = load_clustering(cfg.clustering, loaded.labels)
-    load_s = time.perf_counter() - t0
-    stats = None
-    if cfg.stats_file is not None:
-        stats = read_stats_csv(cfg.stats_file)
-        validate_stats_cover(stats, c)
+    labels, g, c, stats, load_s = _load_inputs(cfg.network, cfg.clustering,
+                                               cfg.stats_file)
     result = synthesize(g, c, cfg.variant, cfg.seed, workers=cfg.workers,
                         stats=stats, sbm_max_retries=cfg.sbm_max_retries,
                         partner_cap=cfg.partner_cap)
     result.report.stage_seconds["load"] = load_s
-    _write_outputs(Path(cfg.out_dir), result, loaded.labels, c)
+    _write_outputs(Path(cfg.out_dir), result, labels, c)
     return result
 
 
 def run_both_variants(network, clustering, out_dir, seed: int = 0,
                       workers: int = 1, stats_file=None) -> dict:
-    """Run both variants from one seed so they share the same block model draws.
+    """Run both variants from one seed on one shared preparation.
 
-    The sampled parts depend only on (seed, inputs), not on the variant, so
-    running the two variants with the same seed is a controlled comparison.
-    Outputs land in out_dir/plus and out_dir/pp.
+    Loading, stats, split, block matrices and both block model draws run
+    once, then each variant finishes from them; one process pool serves the
+    whole call. So the two runs are a controlled comparison, each variant's
+    output is the same as a single-variant run's at that seed, and each run
+    report carries the shared stages' seconds, measured once. Outputs land
+    in out_dir/plus and out_dir/pp.
     """
     out_dir = Path(out_dir)
-    loaded = load_edge_list(network)
-    g = build_csr(loaded.edges, loaded.n)
-    c = load_clustering(clustering, loaded.labels)
-    stats = None
-    if stats_file is not None:
-        stats = read_stats_csv(stats_file)
-        validate_stats_cover(stats, c)
+    labels, g, c, stats, load_s = _load_inputs(network, clustering, stats_file)
     summary = {}
-    for variant in rp.VARIANTS:
-        result = synthesize(g, c, variant, seed, workers=workers, stats=stats)
-        _write_outputs(out_dir / variant, result, loaded.labels, c)
-        summary[variant] = result.report.to_dict()
+    with _pool(workers) as executor:
+        prepared = _prepare(g, c, seed, executor, stats, sbm_max_retries=30)
+        for variant in rp.VARIANTS:
+            result = _finish(prepared, variant, executor,
+                             rp.DEFAULT_PARTNER_CAP, workers)
+            result.report.stage_seconds["load"] = load_s
+            _write_outputs(out_dir / variant, result, labels, c)
+            summary[variant] = result.report.to_dict()
     with open(out_dir / "comparison.json", "w", encoding="utf-8") as fh:
         json.dump({"seed": seed, "runs": summary}, fh, indent=2, sort_keys=True)
         fh.write("\n")

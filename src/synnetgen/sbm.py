@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Clustering, EdgeSet
+from .graphs import Clustering
 
 log = logging.getLogger(__name__)
 
@@ -63,8 +63,7 @@ def build_block_matrix(edges, c: Clustering,
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    arr = edges.to_array() if isinstance(edges, EdgeSet) else \
-        np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     ids = c.cluster_ids
     b = len(ids)
     bidx = np.searchsorted(ids, c.assignment)
@@ -102,10 +101,9 @@ class SampleReport:
 
 
 def degree_weights(edges, n: int) -> np.ndarray:
-    """Per-node endpoint weights: the node's degree in the given edge set."""
-    arr = edges.to_array() if isinstance(edges, EdgeSet) else \
-        np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return np.bincount(arr.ravel(), minlength=n).astype(np.float64)
+    """Per-node endpoint weights: the node's degree in the given edge array."""
+    return np.bincount(np.asarray(edges, dtype=np.int64).ravel(),
+                       minlength=n).astype(np.float64)
 
 
 def _draw(rng, cumw, nodes, k):
@@ -116,8 +114,11 @@ def _draw(rng, cumw, nodes, k):
 
 def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
                  seed: int, max_retries: int = DEFAULT_MAX_RETRIES
-                 ) -> tuple[EdgeSet, SampleReport]:
+                 ) -> tuple[np.ndarray, SampleReport]:
     """Sample a simple graph realizing the block matrix counts.
+
+    Returns the placed edges as a canonical (u < v, lexicographically
+    sorted) int64 array, and the report.
 
     Every coordinate gets its own RNG stream derived from (seed, index),
     so the draw for one coordinate never depends on any other and the
@@ -194,7 +195,7 @@ def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
                     continue
                 seen.add(key)
             need = cnt - len(seen)
-        placed.extend(sorted(seen))
+        placed.extend(seen)
         shortfall[i] = need
 
     if lonely_blocks:
@@ -210,4 +211,7 @@ def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
         coordinate_shortfall=shortfall,
         single_node_intra_blocks=lonely_blocks,
     )
-    return EdgeSet._from_canonical(placed), report
+    # coordinates are disjoint block pairs, so the placed edges are unique
+    arr = np.array(placed, dtype=np.int64).reshape(-1, 2)
+    keys = np.sort(arr[:, 0] * c.n + arr[:, 1])
+    return np.column_stack([keys // c.n, keys % c.n]), report

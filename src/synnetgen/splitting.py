@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Clustering, CsrGraph, EdgeSet, build_csr
+from .graphs import Clustering, CsrGraph, build_csr
 
 
 @dataclass
@@ -20,7 +20,7 @@ class SplitResult:
     g_c: CsrGraph            # induced subgraph on clustered nodes, local ids
     gc_nodes: np.ndarray     # local id -> parent id, ascending
     c_c: Clustering          # original cluster ids, over g_c local ids
-    g_s_edges: EdgeSet       # singleton-side edges over parent ids
+    g_s_edges: np.ndarray    # singleton-side edges over parent ids, canonical
     c_s: Clustering          # over parent ids; singletons get fresh ids
 
 
@@ -45,13 +45,9 @@ def split(g: CsrGraph, c: Clustering) -> SplitResult:
         raise ValueError(f"clustering covers {c.n} nodes, graph has {g.n}")
     arr = g.edge_array()
     clustered = c.clustered_mask
-    if arr.size:
-        both = clustered[arr[:, 0]] & clustered[arr[:, 1]]
-        gc_parent = arr[both]
-        gs_arr = arr[~both]
-    else:
-        gc_parent = arr
-        gs_arr = arr
+    both = clustered[arr[:, 0]] & clustered[arr[:, 1]]
+    gc_parent = arr[both]
+    gs_arr = arr[~both]
     gc_nodes = np.flatnonzero(clustered)
     mark = np.full(g.n, -1, dtype=np.int64)
     mark[gc_nodes] = np.arange(len(gc_nodes), dtype=np.int64)
@@ -61,11 +57,10 @@ def split(g: CsrGraph, c: Clustering) -> SplitResult:
     assign_s = c.assignment.copy()
     singles = c.singleton_nodes
     assign_s[singles] = fresh_singleton_ids(c)
-    g_s_edges = EdgeSet._from_canonical(map(tuple, gs_arr.tolist()))
     return SplitResult(
         g_c=g_c,
         gc_nodes=gc_nodes,
         c_c=c_c,
-        g_s_edges=g_s_edges,
+        g_s_edges=gs_arr,
         c_s=Clustering(assign_s),
     )

@@ -101,7 +101,7 @@ def test_split_identity():
         gc_parent = {
             tuple(e) for e in res.gc_nodes[res.g_c.edge_array()].tolist()
         } if res.g_c.m else set()
-        gs = {tuple(e) for e in res.g_s_edges.to_array().tolist()}
+        gs = {tuple(e) for e in res.g_s_edges.tolist()}
         whole = {tuple(e) for e in arr.tolist()}
         if len(gc_parent) + len(gs) != len(whole):
             bad += 1

@@ -7,7 +7,7 @@ import pytest
 
 from synnetgen import Clustering, build_csr, compute_stats
 from synnetgen.cli import main
-from synnetgen.cluster_stats import read_stats_csv
+from synnetgen.cluster_stats import read_stats_csv, write_stats_csv
 from synnetgen.graphs import load_clustering, load_edge_list
 from synnetgen.pipeline import PipelineError
 
@@ -147,6 +147,19 @@ def test_stats_file_feeds_generate(ref_files, tmp_path):
                  "--seed", "3", "--out-dir", str(b)]) == 0
     assert (a / "synthetic_network.tsv").read_bytes() == \
         (b / "synthetic_network.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["generate", "compare-versions"])
+def test_stats_file_missing_cluster_exits_two(ref_files, tmp_path, capsys, command):
+    net, clu, arr, assignment = ref_files
+    stats = compute_stats(build_csr(arr, len(assignment)), Clustering(assignment))
+    del stats[max(stats)]
+    sf = tmp_path / "stats.csv"
+    write_stats_csv(stats, sf)
+    rc = main([command, "--network", str(net), "--clustering", str(clu),
+               "--out-dir", str(tmp_path / "o"), "--stats-file", str(sf)])
+    assert rc == 2
+    assert "missing clusters" in capsys.readouterr().err
 
 
 def test_eval_identity(ref_files, tmp_path):

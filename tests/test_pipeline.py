@@ -1,5 +1,6 @@
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from synnetgen import (
     split,
     synthesize,
 )
+from synnetgen import pipeline
 from synnetgen.graphs import load_clustering, load_edge_list
 from synnetgen.pipeline import _build_work_items, _merge_arrays
 
@@ -61,14 +63,13 @@ def test_build_work_items_external_degrees():
     res = split(g, c)
     stats = compute_stats(g, c)
     gc_sample = np.array([[0, 1], [1, 2]])
-    items, inter = _build_work_items(res, gc_sample, stats)
+    items = _build_work_items(res, gc_sample, stats)
     assert [it.cluster_id for it in items] == [0, 1]
     assert items[0].edges == {(0, 1)}
     assert items[1].edges == set()
     # node 1 has the inter edge; cluster-1 side lands on node 2
     assert items[0].ext_deg.tolist() == [0, 1]
     assert items[1].ext_deg.tolist() == [1, 0]
-    assert inter.tolist() == [[1, 2]]
     # reference degrees restricted to the clustered subnetwork
     assert items[0].ref_deg.tolist() == [1, 2]
 
@@ -266,3 +267,41 @@ def test_run_both_variants(tmp_path, small_reference):
     assert comparison["seed"] == 17
     assert (summary["plus"]["edge_counts"]["clustered_sampled"]
             == summary["pp"]["edge_counts"]["clustered_sampled"])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_both_variants_matches_single_variant_runs(tmp_path, small_reference,
+                                                        workers):
+    # both variants finish from one preparation; repair mutates its work
+    # items, so a variant that saw the other's items would differ here
+    g, c = small_reference
+    net, clu = write_network_files(tmp_path, g.edge_array(), c.assignment)
+    run_both_variants(net, clu, tmp_path / "both", seed=12, workers=workers)
+    for variant in ("plus", "pp"):
+        single = tmp_path / variant
+        run_pipeline(PipelineConfig(network=net, clustering=clu, out_dir=single,
+                                    variant=variant, seed=12, workers=workers))
+        for name in (pipeline.EDGES_FILE, pipeline.CLUSTERING_FILE,
+                     pipeline.RESIDUALS_FILE, pipeline.SHORTFALL_FILE):
+            assert (tmp_path / "both" / variant / name).read_bytes() == \
+                (single / name).read_bytes(), (variant, name)
+
+
+def test_run_both_variants_prepares_once(tmp_path, small_reference, monkeypatch):
+    g, c = small_reference
+    net, clu = write_network_files(tmp_path, g.edge_array(), c.assignment)
+    calls = Counter()
+
+    def count(name):
+        fn = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    count("cluster_edge_tables")
+    count("sample_dcsbm")
+    run_both_variants(net, clu, tmp_path / "both", seed=12)
+    # stats once, and one clustered plus one singleton draw
+    assert calls == {"cluster_edge_tables": 1, "sample_dcsbm": 2}

@@ -86,17 +86,17 @@ def test_sample_respects_block_counts():
         if len(arr) == 0:
             continue
         c = random_clustering(rng, n, int(rng.integers(1, 6)))
-        bm, (edges, report) = sample_round_trip(arr, c, seed=trial)
-        out = edges.to_array()
-        # no self-loops or duplicates by construction of EdgeSet
+        bm, (out, report) = sample_round_trip(arr, c, seed=trial)
+        # canonical: u < v (no self-loops), unique, lexicographically sorted
         assert np.all(out[:, 0] < out[:, 1])
+        assert out.tolist() == [list(e) for e in sorted(set(map(tuple, out.tolist())))]
         # every placed edge lands in a demanded coordinate, never above count
         got = block_tally_oracle(out.tolist(), c.assignment)
         want = bm_as_dict(bm)
         for pair, cnt in got.items():
             assert cnt <= want[pair]
         assert report.placed + report.shortfall == report.requested
-        assert report.placed == len(edges)
+        assert report.placed == len(out)
         assert int(report.coordinate_shortfall.sum()) == report.shortfall
 
 
@@ -106,7 +106,7 @@ def test_sample_exact_when_blocks_are_roomy():
     arr = np.array([[0, 1], [2, 3], [4, 5], [0, 12], [1, 13], [12, 13]])
     bm, (edges, report) = sample_round_trip(arr, c, seed=3)
     assert report.shortfall == 0
-    got = block_tally_oracle(edges.to_array().tolist(), c.assignment)
+    got = block_tally_oracle(edges.tolist(), c.assignment)
     assert got == bm_as_dict(bm)
 
 
@@ -157,7 +157,7 @@ def test_two_single_node_blocks_force_the_edge():
         counts=np.array([5]),
     )
     edges, report = sample_dcsbm(bm, c, np.ones(2), seed=0)
-    assert edges.to_array().tolist() == [[0, 1]]
+    assert edges.tolist() == [[0, 1]]
     assert report.shortfall == 4
 
 
@@ -183,7 +183,7 @@ def test_zero_weight_nodes_never_drawn():
     )
     for seed in range(30):
         edges, _ = sample_dcsbm(bm, c, w, seed=seed)
-        assert np.all(np.isin(edges.to_array(), [0, 2, 4]))
+        assert np.all(np.isin(edges, [0, 2, 4]))
 
 
 def test_all_zero_weights_fall_back_to_uniform():
@@ -208,8 +208,8 @@ def test_determinism_and_seed_sensitivity():
     a1, _ = sample_dcsbm(bm, c, w, seed=7)
     a2, _ = sample_dcsbm(bm, c, w, seed=7)
     b, _ = sample_dcsbm(bm, c, w, seed=8)
-    assert a1.to_array().tolist() == a2.to_array().tolist()
-    assert a1.to_array().tolist() != b.to_array().tolist()
+    assert a1.tolist() == a2.tolist()
+    assert a1.tolist() != b.tolist()
 
 
 def test_coordinates_are_independent_streams():
@@ -231,8 +231,8 @@ def test_coordinates_are_independent_streams():
         return a, b
 
     dropped = (int(bm.block_ids[bm.r[1]]), int(bm.block_ids[bm.s[1]]))
-    full_rest = {e for e in full if coord_of(*e) != dropped}
-    assert {tuple(e) for e in partial} == full_rest
+    full_rest = {tuple(e) for e in full.tolist() if coord_of(*e) != dropped}
+    assert {tuple(e) for e in partial.tolist()} == full_rest
 
 
 def test_weighted_endpoint_frequencies():

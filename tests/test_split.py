@@ -26,7 +26,7 @@ def test_basic_split():
     assert res.gc_nodes.tolist() == [0, 1, 2, 3]
     assert res.g_c.n == 4
     assert res.g_c.edge_array().tolist() == [[0, 1], [0, 2], [2, 3]]
-    assert res.g_s_edges.to_array().tolist() == [[1, 4]]
+    assert res.g_s_edges.tolist() == [[1, 4]]
     assert res.c_c.assignment.tolist() == [1, 1, 2, 2]
     # singleton keeps the universe and gets a fresh id past the max
     assert res.c_s.n == 5
@@ -52,7 +52,7 @@ def test_all_singletons():
     res = split(build_csr(arr, 3), c)
     assert res.g_c.n == 0
     assert res.g_c.m == 0
-    assert res.g_s_edges.to_array().tolist() == arr.tolist()
+    assert res.g_s_edges.tolist() == arr.tolist()
     assert len(np.unique(res.c_s.assignment)) == 3
 
 
@@ -78,10 +78,10 @@ def test_edge_partition_identity_random():
         assert res.gc_nodes.tolist() == clustered
         back = res.gc_nodes[res.g_c.edge_array()]
         assert back.tolist() == gc_expect
-        assert res.g_s_edges.to_array().tolist() == gs_expect
+        assert res.g_s_edges.tolist() == gs_expect
         # exact partition: union is the input, intersection empty
         union = sorted(map(tuple, back.tolist())) + sorted(
-            map(tuple, res.g_s_edges.to_array().tolist())
+            map(tuple, res.g_s_edges.tolist())
         )
         assert sorted(union) == sorted(map(tuple, arr.tolist()))
         # clustered part of c_s is untouched, singleton ids all fresh
