@@ -354,6 +354,20 @@ def gather_neighbors(g: CsrGraph, nodes: np.ndarray) -> np.ndarray:
     return g.cols[starts + within]
 
 
+def bfs_distances(g: CsrGraph, source: int) -> np.ndarray:
+    """Hop distance from source to every node; -1 where unreachable."""
+    dist = np.full(g.n, -1, dtype=np.int64)
+    dist[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    level = 0
+    while frontier.size:
+        nb = gather_neighbors(g, frontier)
+        frontier = np.unique(nb[dist[nb] < 0])
+        level += 1
+        dist[frontier] = level
+    return dist
+
+
 def connected_components(g: CsrGraph) -> np.ndarray:
     """Component label per node; labels assigned by ascending smallest member."""
     labels = np.full(g.n, -1, dtype=np.int64)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CsrGraph, build_csr, connected_components
+from .graphs import CsrGraph, bfs_distances, build_csr
 
 DEFAULT_SIZE_GUARD = 50_000
 
@@ -86,7 +86,7 @@ def dense_adjacency(n: int, edges) -> np.ndarray:
 
 def global_min_cut(g: CsrGraph, size_guard: int = DEFAULT_SIZE_GUARD) -> MinCutResult:
     """Exact global minimum edge cut of a CsrGraph; see min_cut_of_edges."""
-    return min_cut_of_edges(g.n, g.edge_array(), size_guard)
+    return _min_cut(g, g.edge_array(), size_guard)
 
 
 def min_cut_of_edges(n: int, edges, size_guard: int = DEFAULT_SIZE_GUARD) -> MinCutResult:
@@ -95,13 +95,18 @@ def min_cut_of_edges(n: int, edges, size_guard: int = DEFAULT_SIZE_GUARD) -> Min
     Graphs with fewer than two nodes have cut 0 and an empty side; a
     disconnected graph has cut 0 with node 0's component as the side.
     """
-    if n > size_guard:
-        raise MinCutSizeError(f"{n} nodes exceeds exact min cut guard {size_guard}")
-    if n <= 1:
-        return MinCutResult(0, np.empty(0, dtype=np.int64))
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    labels = connected_components(build_csr(arr, n))
-    if labels.max() > 0:
-        return MinCutResult(0, np.flatnonzero(labels == 0))
-    value, side = stoer_wagner_dense(dense_adjacency(n, arr))
+    return _min_cut(build_csr(arr, n), arr, size_guard)
+
+
+def _min_cut(g: CsrGraph, arr: np.ndarray, size_guard: int) -> MinCutResult:
+    """Min cut of g, whose canonical edge array is arr."""
+    if g.n > size_guard:
+        raise MinCutSizeError(f"{g.n} nodes exceeds exact min cut guard {size_guard}")
+    if g.n <= 1:
+        return MinCutResult(0, np.empty(0, dtype=np.int64))
+    reached = bfs_distances(g, 0) >= 0
+    if not reached.all():
+        return MinCutResult(0, np.flatnonzero(reached))
+    value, side = stoer_wagner_dense(dense_adjacency(g.n, arr))
     return MinCutResult(value, np.array(side, dtype=np.int64))

@@ -13,7 +13,7 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 
-from synnetgen import Clustering, EdgeSet, build_csr
+from synnetgen import Clustering, build_csr
 
 
 # ===== Random graph builders =====

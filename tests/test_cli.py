@@ -8,7 +8,7 @@ import pytest
 from synnetgen import Clustering, build_csr, compute_stats
 from synnetgen.cli import main
 from synnetgen.cluster_stats import read_stats_csv, write_stats_csv
-from synnetgen.graphs import load_clustering, load_edge_list
+from synnetgen.graphs import load_edge_list
 from synnetgen.pipeline import PipelineError
 
 from helpers import planted_reference, structural_violations, write_network_files

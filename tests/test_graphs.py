@@ -3,7 +3,6 @@ import pytest
 
 from synnetgen import (
     Clustering,
-    CsrGraph,
     EdgeSet,
     GraphFormatError,
     build_csr,

@@ -18,6 +18,8 @@ from synnetgen import (
     relative_difference,
     rmse,
 )
+from synnetgen import metrics
+from synnetgen.graphs import bfs_distances
 from synnetgen.metrics import (
     clustering_coefficients,
     cluster_mincut_map,
@@ -32,6 +34,7 @@ from helpers import (
     global_coefficient_oracle,
     local_coefficient_oracle,
     nmi_oracle,
+    planted_reference,
     random_clustering,
     random_edge_array,
 )
@@ -145,6 +148,78 @@ def test_diameter_against_networkx():
         comps = sorted(nx.connected_components(h), key=lambda s: (-len(s), min(s)))
         want = nx.diameter(h.subgraph(comps[0])) if len(comps[0]) > 1 else 0
         assert diameter_largest_component(g)[0] == want
+
+
+def _assert_diameter_matches_networkx(h, rng):
+    """Relabel h's nodes at random, then compare with networkx.diameter."""
+    nx = pytest.importorskip("networkx")
+    n = h.number_of_nodes()
+    h = nx.relabel_nodes(h, dict(zip(h.nodes(), rng.permutation(n).tolist())))
+    arr = np.sort(np.array(list(h.edges()), dtype=np.int64).reshape(-1, 2), axis=1)
+    g = build_csr(np.unique(arr, axis=0), n)
+    largest = min(nx.connected_components(h), key=lambda s: (-len(s), min(s)))
+    want = nx.diameter(h.subgraph(largest).copy()) if len(largest) > 1 else 0
+    assert diameter_largest_component(g) == (want, True)
+
+
+def test_diameter_of_planted_references_against_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(137)
+    for n_nodes, n_clusters in ((200, 4), (600, 8), (3000, 30)):
+        arr, _ = planted_reference(rng, n_nodes, n_clusters)
+        h = nx.Graph()
+        h.add_nodes_from(range(n_nodes))
+        h.add_edges_from(arr.tolist())
+        _assert_diameter_matches_networkx(h, rng)
+
+
+def test_diameter_of_structured_graphs_against_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(139)
+    graphs = [nx.convert_node_labels_to_integers(nx.grid_2d_graph(r, c))
+              for r, c in ((1, 7), (5, 5), (6, 11), (20, 3))]
+    graphs += [nx.barbell_graph(6, 0), nx.barbell_graph(5, 9),
+               nx.lollipop_graph(7, 1), nx.lollipop_graph(8, 15)]
+    for n in (2, 3, 10, 60, 400):
+        tree = nx.Graph()
+        tree.add_nodes_from(range(n))
+        tree.add_edges_from((int(rng.integers(0, i)), i) for i in range(1, n))
+        graphs.append(tree)
+    for h in graphs:
+        _assert_diameter_matches_networkx(h, rng)
+
+
+def test_diameter_with_two_equal_largest_components():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(149)
+    pairs = [(nx.path_graph(6), nx.star_graph(5)), (nx.star_graph(5), nx.path_graph(6)),
+             (nx.cycle_graph(9), nx.barbell_graph(3, 3))]
+    for _ in range(4):
+        trees = []
+        for _ in range(2):
+            t = nx.Graph()
+            t.add_edges_from((int(rng.integers(0, i)), i) for i in range(1, 40))
+            trees.append(t)
+        pairs.append(tuple(trees))
+    for a, b in pairs:
+        h = nx.disjoint_union_all([a, b, nx.path_graph(3)])
+        _assert_diameter_matches_networkx(h, rng)
+
+
+def test_diameter_needs_few_breadth_first_searches(monkeypatch):
+    calls = []
+
+    def counted(g, source):
+        calls.append(source)
+        return bfs_distances(g, source)
+
+    monkeypatch.setattr(metrics, "bfs_distances", counted)
+    n = 4000
+    arr, _ = planted_reference(np.random.default_rng(151), n, 40)
+    diam, exact = diameter_largest_component(build_csr(arr, n))
+    assert exact and diam > 0
+    # a search from every node of the largest component would make ~n
+    assert len(calls) < n / 10
 
 
 def test_mixing_parameter_modes():

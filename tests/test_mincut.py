@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from synnetgen import build_csr, global_min_cut, min_cut_of_edges
+from synnetgen import build_csr, connected_components, global_min_cut, min_cut_of_edges
 from synnetgen.mincut import MinCutSizeError, stoer_wagner_dense
 
 from helpers import brute_force_min_cut, cut_across, random_edge_array
@@ -88,13 +88,22 @@ def test_weighted_dense_matches_contracted_multigraph():
 
 def test_min_cut_of_edges_agrees_with_csr_route():
     rng = np.random.default_rng(33)
-    for _ in range(60):
-        n = int(rng.integers(2, 10))
-        arr = random_edge_array(rng, n, 0.4)
-        a = global_min_cut(build_csr(arr, n))
-        b = min_cut_of_edges(n, arr)
-        assert a.value == b.value
-        assert a.side.tolist() == b.side.tolist()
+    disconnected = 0
+    for p in (0.4, 0.1):
+        for _ in range(60):
+            n = int(rng.integers(2, 10))
+            arr = random_edge_array(rng, n, p)
+            g = build_csr(arr, n)
+            a = global_min_cut(g)
+            b = min_cut_of_edges(n, arr)
+            assert a.value == b.value
+            assert a.side.tolist() == b.side.tolist()
+            labels = connected_components(g)
+            if labels.max() > 0:
+                disconnected += 1
+                assert a.value == 0
+                assert a.side.tolist() == np.flatnonzero(labels == 0).tolist()
+    assert disconnected >= 30
 
 
 def test_cross_check_networkx():
