@@ -7,7 +7,6 @@ from .graphs import (
     GraphFormatError,
     build_csr,
     connected_components,
-    induced_subgraph,
     load_clustering,
     load_edge_list,
     write_clustering,

@@ -97,8 +97,7 @@ def _cmd_eval(args) -> int:
 
     def rebuild(res):
         remap = np.searchsorted(labels, res.labels)
-        arr = res.edges.to_array()
-        return build_csr(remap[arr] if arr.size else arr, len(labels))
+        return build_csr(remap[res.edges], len(labels))
 
     g_ref = rebuild(ref)
     g_syn = rebuild(syn)

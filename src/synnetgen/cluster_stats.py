@@ -9,6 +9,7 @@ from a precomputed file must be interchangeable with recomputing them.
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -74,8 +75,11 @@ def _pool(workers: int):
     """Yield executor(fn, items): fn's lazy in-order results over a list.
 
     With workers > 1 it submits every task to one process pool at once, so
-    the work starts before the results are read; otherwise it is map.
+    the work starts before the results are read; otherwise it is map. The
+    pool forks all its processes at the first submit, so workers is clamped
+    to the CPUs this process may run on; results do not depend on it.
     """
+    workers = min(workers, len(os.sched_getaffinity(0)))
     if workers <= 1:
         yield map
         return

@@ -31,7 +31,8 @@ class EdgeSet:
 
     Membership and insertion are amortized O(1); self-loops are rejected.
     Iteration order is unspecified, use to_array() for the canonical
-    lexicographic ordering.
+    lexicographic ordering. The package itself passes edges between
+    functions only as canonical arrays; this class is kept public API.
     """
 
     __slots__ = ("_edges",)
@@ -41,13 +42,6 @@ class EdgeSet:
         if edges is not None:
             for u, v in edges:
                 self.add(int(u), int(v))
-
-    @classmethod
-    def _from_canonical(cls, pairs):
-        """Wrap an iterable of already-canonical (u < v) pairs without checks."""
-        es = cls()
-        es._edges = set(pairs)
-        return es
 
     def add(self, u: int, v: int) -> bool:
         """Insert edge {u, v}. Returns False when it was already present."""
@@ -113,16 +107,13 @@ class CsrGraph:
 
 
 def build_csr(edges, n: int) -> CsrGraph:
-    """Build a CsrGraph from an EdgeSet or a canonical (m, 2) edge array.
+    """Build a CsrGraph from an (m, 2) array of distinct undirected edges.
 
     All endpoints must be < n. The layout is a counting pass over edge
     endpoints followed by a deterministic fill, so the result does not
     depend on input ordering.
     """
-    if isinstance(edges, EdgeSet):
-        arr = edges.to_array()
-    else:
-        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if arr.size:
         if arr.min() < 0 or arr.max() >= n:
             raise IndexError(f"edge endpoint out of range for n={n}")
@@ -234,11 +225,13 @@ def _parse_int_pairs(path):
 class LoadResult:
     """Loaded edge list with the densified id space.
 
-    labels maps internal node id -> external file label (ascending), so
-    internal ordering agrees with external label ordering everywhere.
+    edges is the canonical (m, 2) int64 array in internal ids: u < v in
+    every row, rows sorted lexicographically, no duplicates. labels maps
+    internal node id -> external file label (ascending), so internal
+    ordering agrees with external label ordering everywhere.
     """
 
-    edges: EdgeSet
+    edges: np.ndarray
     labels: np.ndarray
     n: int
     self_loops_dropped: int
@@ -266,8 +259,7 @@ def load_edge_list(path) -> LoadResult:
     n = len(labels)
     keys = np.unique(lo * n + hi)
     duplicates = int(len(lo) - len(keys))
-    canon = zip((keys // n).tolist(), (keys % n).tolist())
-    edges = EdgeSet._from_canonical(canon)
+    edges = np.column_stack([keys // n, keys % n])
     if self_loops or duplicates:
         log.info(
             "%s: dropped %d self-loops and %d duplicate edges",
@@ -283,12 +275,12 @@ def load_edge_list(path) -> LoadResult:
 
 
 def write_edge_list(edges, labels, path) -> None:
-    """Write edges under their external labels, tab separated.
+    """Write a canonical edge array under its external labels, tab separated.
 
-    Rows come out sorted by endpoints so identical edge sets always produce
-    identical bytes. An empty set produces an empty file.
+    Rows come out in the array's canonical order, so identical edge sets
+    always produce identical bytes. An empty array produces an empty file.
     """
-    arr = edges.to_array() if isinstance(edges, EdgeSet) else np.asarray(edges)
+    arr = np.asarray(edges)
     labels = np.asarray(labels)
     path = Path(path)
     if arr.size == 0:
@@ -384,21 +376,3 @@ def connected_components(g: CsrGraph) -> np.ndarray:
             frontier = nb
         current += 1
     return labels
-
-
-def induced_subgraph(g: CsrGraph, nodes) -> tuple[CsrGraph, np.ndarray]:
-    """Subgraph induced by a node subset.
-
-    Returns (sub, index_map) where index_map[i] is the parent id of the
-    subgraph's node i. Subgraph ids follow ascending parent id order.
-    """
-    nodes = np.asarray(sorted(set(np.asarray(nodes, dtype=np.int64).tolist())),
-                       dtype=np.int64)
-    mark = np.full(g.n, -1, dtype=np.int64)
-    mark[nodes] = np.arange(len(nodes), dtype=np.int64)
-    counts = g.offsets[nodes + 1] - g.offsets[nodes]
-    src = np.repeat(mark[nodes], counts)
-    dst = mark[gather_neighbors(g, nodes)]
-    keep = (dst >= 0) & (src < dst)
-    pairs = np.column_stack([src[keep], dst[keep]])
-    return build_csr(pairs, len(nodes)), nodes

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Clustering, CsrGraph, bfs_distances, connected_components, induced_subgraph
+from .cluster_stats import _local_edge_groups
+from .graphs import Clustering, CsrGraph, bfs_distances, build_csr, connected_components
 from .mincut import global_min_cut
 
 log = logging.getLogger(__name__)
@@ -204,11 +205,8 @@ def outlier_clustered_edge_count(g: CsrGraph, c: Clustering) -> int:
 
 def cluster_mincut_map(g: CsrGraph, c: Clustering) -> dict[int, int]:
     """Exact min cut of every multi-node cluster's induced subgraph."""
-    out = {}
-    for cid in c.multi_cluster_ids.tolist():
-        sub, _ = induced_subgraph(g, c.members(cid))
-        out[cid] = global_min_cut(sub).value
-    return out
+    return {cid: global_min_cut(build_csr(local, len(members))).value
+            for cid, members, local in _local_edge_groups(g.edge_array(), c)}
 
 
 @dataclass

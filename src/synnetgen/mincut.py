@@ -2,7 +2,10 @@
 
 Stoer-Wagner over a dense weight matrix. Intended cluster sizes are a few
 thousand nodes at most; a size guard refuses anything larger instead of
-silently approximating.
+silently approximating. One cut on n nodes holds about three n x n int64
+matrices at once (the adjacency, its working copy and a phase's active
+submatrix), so the default guard of 8,192 nodes bounds a cut at three
+512 MiB matrices.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 
 from .graphs import CsrGraph, bfs_distances, build_csr
 
-DEFAULT_SIZE_GUARD = 50_000
+DEFAULT_SIZE_GUARD = 8_192
 
 # key of a node already in the phase's added set; later row additions
 # (at most the total edge weight) keep it below every real weight
@@ -22,6 +25,12 @@ _ADDED = np.int64(-(1 << 62))
 
 class MinCutSizeError(RuntimeError):
     """Input exceeds the exact-cut size guard."""
+
+
+def check_size(n: int, size_guard: int = DEFAULT_SIZE_GUARD) -> None:
+    """Raise MinCutSizeError if an exact cut on n nodes exceeds the guard."""
+    if n > size_guard:
+        raise MinCutSizeError(f"{n} nodes exceeds exact min cut guard {size_guard}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +110,7 @@ def min_cut_of_edges(n: int, edges, size_guard: int = DEFAULT_SIZE_GUARD) -> Min
 
 def _min_cut(g: CsrGraph, arr: np.ndarray, size_guard: int) -> MinCutResult:
     """Min cut of g, whose canonical edge array is arr."""
-    if g.n > size_guard:
-        raise MinCutSizeError(f"{g.n} nodes exceeds exact min cut guard {size_guard}")
+    check_size(g.n, size_guard)
     if g.n <= 1:
         return MinCutResult(0, np.empty(0, dtype=np.int64))
     reached = bfs_distances(g, 0) >= 0

@@ -78,8 +78,6 @@ class PipelineConfig:
     seed: int = 0
     workers: int = 1
     stats_file: Path | None = None
-    sbm_max_retries: int = 30
-    partner_cap: int = rp.DEFAULT_PARTNER_CAP
 
 
 @dataclass
@@ -133,7 +131,7 @@ def _build_work_items(split_res: SplitResult, gc_sample: np.ndarray,
         items.append(rp.ClusterWork(
             cluster_id=cid,
             members=members,
-            edges=set(map(tuple, local.tolist())),
+            edges=local,
             target_cut=stats[cid].mincut,
             ref_deg=ref_deg[members],
             ext_deg=sampled_deg[members] - intra_deg,
@@ -175,7 +173,7 @@ class _Prepared:
 
 
 def _prepare(g: CsrGraph, c: Clustering, seed: int, executor,
-             stats: dict | None, sbm_max_retries: int) -> _Prepared:
+             stats: dict | None) -> _Prepared:
     """Stats, split, block matrices and both block model draws.
 
     executor is the map function of _pool. Injected stats must cover every
@@ -201,10 +199,8 @@ def _prepare(g: CsrGraph, c: Clustering, seed: int, executor,
         w_s = degree_weights(split_res.g_s_edges, g.n)
         seed_c, seed_s = (int(x) for x in
                           np.random.SeedSequence(seed).generate_state(2, np.uint64))
-        gc_sample, rep_c = sample_dcsbm(bm_c, split_res.c_c, w_c, seed_c,
-                                        max_retries=sbm_max_retries)
-        gs_sample, rep_s = sample_dcsbm(bm_s, split_res.c_s, w_s, seed_s,
-                                        max_retries=sbm_max_retries)
+        gc_sample, rep_c = sample_dcsbm(bm_c, split_res.c_c, w_c, seed_c)
+        gs_sample, rep_s = sample_dcsbm(bm_s, split_res.c_s, w_s, seed_s)
 
     if stats is None:
         with _stage(seconds, "stats"):
@@ -231,12 +227,13 @@ def _prepare(g: CsrGraph, c: Clustering, seed: int, executor,
                      shortfalls=shortfalls, stage_seconds=seconds)
 
 
-def _finish(prepared: _Prepared, variant: str, executor, partner_cap: int,
+def _finish(prepared: _Prepared, variant: str, executor,
             workers: int) -> SynthesisResult:
     """Repair, merge, the global matcher for plus, and the report.
 
-    Builds its own work items, because repair mutates their edge sets, so
-    any number of finishes can share one prepared run.
+    Reads the prepared run and never changes it, so any number of finishes
+    can share one. Its work items are built inside the repair stage, whose
+    seconds include them.
     """
     split_res = prepared.split
     n_c = split_res.g_c.n
@@ -248,7 +245,7 @@ def _finish(prepared: _Prepared, variant: str, executor, partner_cap: int,
 
     with _stage(seconds, "repair"):
         items = _build_work_items(split_res, gc_sample, prepared.stats)
-        args = [(item, variant, partner_cap) for item in items]
+        args = [(item, variant) for item in items]
         outcomes = list(executor(rp.repair_cluster_task, args))
 
     with _stage(seconds, "merge"):
@@ -279,9 +276,7 @@ def _finish(prepared: _Prepared, variant: str, executor, partner_cap: int,
         with _stage(seconds, "degree_match_global"):
             cur_deg = np.bincount(gc_merged.ravel(), minlength=n_c)
             deficits = reference_degrees(split_res.g_c) - cur_deg
-            edge_set = set(map(tuple, gc_merged.tolist()))
-            matched, residual = rp.match_degrees_global(
-                edge_set, deficits, partner_cap=partner_cap)
+            matched, residual = rp.match_degrees_global(gc_merged, deficits)
             added_counts[rp.STAGE_DEGREE_MATCH] += len(matched)
             if matched:
                 gc_merged, _ = _merge_arrays(
@@ -317,15 +312,13 @@ def _finish(prepared: _Prepared, variant: str, executor, partner_cap: int,
 
 
 def synthesize(g: CsrGraph, c: Clustering, variant: str, seed: int,
-               workers: int = 1, stats: dict | None = None,
-               sbm_max_retries: int = 30,
-               partner_cap: int = rp.DEFAULT_PARTNER_CAP) -> SynthesisResult:
+               workers: int = 1, stats: dict | None = None) -> SynthesisResult:
     """Generate a synthetic counterpart of (g, c). Pure in-memory pipeline."""
     if variant not in rp.VARIANTS:
         raise PipelineError("configure", f"unknown variant {variant!r}")
     with _pool(workers) as executor:
-        prepared = _prepare(g, c, seed, executor, stats, sbm_max_retries)
-        return _finish(prepared, variant, executor, partner_cap, workers)
+        prepared = _prepare(g, c, seed, executor, stats)
+        return _finish(prepared, variant, executor, workers)
 
 
 def _write_outputs(out_dir: Path, result: SynthesisResult, labels: np.ndarray,
@@ -364,8 +357,7 @@ def run_pipeline(cfg: PipelineConfig) -> SynthesisResult:
     labels, g, c, stats, load_s = _load_inputs(cfg.network, cfg.clustering,
                                                cfg.stats_file)
     result = synthesize(g, c, cfg.variant, cfg.seed, workers=cfg.workers,
-                        stats=stats, sbm_max_retries=cfg.sbm_max_retries,
-                        partner_cap=cfg.partner_cap)
+                        stats=stats)
     result.report.stage_seconds["load"] = load_s
     _write_outputs(Path(cfg.out_dir), result, labels, c)
     return result
@@ -386,10 +378,9 @@ def run_both_variants(network, clustering, out_dir, seed: int = 0,
     labels, g, c, stats, load_s = _load_inputs(network, clustering, stats_file)
     summary = {}
     with _pool(workers) as executor:
-        prepared = _prepare(g, c, seed, executor, stats, sbm_max_retries=30)
+        prepared = _prepare(g, c, seed, executor, stats)
         for variant in rp.VARIANTS:
-            result = _finish(prepared, variant, executor,
-                             rp.DEFAULT_PARTNER_CAP, workers)
+            result = _finish(prepared, variant, executor, workers)
             result.report.stage_seconds["load"] = load_s
             _write_outputs(out_dir / variant, result, labels, c)
             summary[variant] = result.report.to_dict()

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mincut import dense_adjacency, stoer_wagner_dense
+from .mincut import check_size, dense_adjacency, stoer_wagner_dense
 
-DEFAULT_PARTNER_CAP = 64
+# live candidates a deficient node scans for a partner before it retires
+PARTNER_CAP = 64
 
 VARIANT_PLUS = "plus"
 VARIANT_PP = "pp"
@@ -40,16 +41,17 @@ class ClusterWork:
     """One cluster's repair input.
 
     members lists the cluster's node ids in the clustered subnetwork,
-    ascending; edges holds the sampled intra-cluster edges in local
-    indices (position within members). ext_deg is each member's sampled
-    degree toward the rest of the network, which stays fixed during
-    repair; ref_deg is the member's reference degree in the clustered
-    subnetwork.
+    ascending; edges is the canonical (m, 2) int64 array of the sampled
+    intra-cluster edges in local indices (position within members).
+    ext_deg is each member's sampled degree toward the rest of the
+    network, which stays fixed during repair; ref_deg is the member's
+    reference degree in the clustered subnetwork. Repair reads an item
+    and never changes it.
     """
 
     cluster_id: int
     members: np.ndarray
-    edges: set
+    edges: np.ndarray
     target_cut: int
     ref_deg: np.ndarray
     ext_deg: np.ndarray
@@ -67,16 +69,20 @@ class RepairOutcome:
 
 
 class _LocalGraph:
-    """Mutable adjacency view over a work item's local edge set."""
+    """Mutable adjacency of one cluster, built from a local edge array.
+
+    edges is a private set of canonical pairs; the array it came from is
+    left as it was.
+    """
 
     __slots__ = ("size", "adj", "deg", "edges")
 
-    def __init__(self, size: int, edges: set):
+    def __init__(self, size: int, edges: np.ndarray):
         self.size = size
         self.adj = [set() for _ in range(size)]
         self.deg = [0] * size
-        self.edges = edges
-        for u, v in edges:
+        self.edges = set(map(tuple, edges.tolist()))
+        for u, v in self.edges:
             self.adj[u].add(v)
             self.adj[v].add(u)
             self.deg[u] += 1
@@ -190,7 +196,9 @@ def _repair_mincut(lg: _LocalGraph, k: int) -> tuple[list, list]:
     """Add edges until the cluster's exact min cut reaches min(k, size-1).
 
     Each round recomputes the cut and adds a single edge across it between
-    the lowest-degree non-adjacent pair. Returns (added, warnings).
+    the lowest-degree non-adjacent pair. Returns (added, warnings). A
+    cluster larger than the exact cut's size guard raises MinCutSizeError
+    before any cut matrix is allocated.
     """
     size = lg.size
     added = []
@@ -198,6 +206,7 @@ def _repair_mincut(lg: _LocalGraph, k: int) -> tuple[list, list]:
     target = min(k, size - 1)
     if size < 2 or target <= 0:
         return added, warnings
+    check_size(size)
     while True:
         value, side = stoer_wagner_dense(dense_adjacency(size, list(lg.edges)))
         if value >= target:
@@ -244,14 +253,13 @@ def _lowest_degree_cross_pair(lg: _LocalGraph, side_a: list, side_b: list):
     return best_pair
 
 
-def _deficit_matching(cur: dict, is_adjacent, add_edge,
-                      partner_cap: int = DEFAULT_PARTNER_CAP):
+def _deficit_matching(cur: dict, is_adjacent, add_edge):
     """Greedy max-deficit pairing shared by both degree matching modes.
 
     cur maps node -> remaining deficit (> 0 entries only are considered).
     Repeatedly takes the most deficient node (ties toward smaller id) and
     pairs it with the most deficient node it is not yet adjacent to,
-    scanning at most partner_cap live candidates before retiring it with
+    scanning at most PARTNER_CAP live candidates before retiring it with
     its residual deficit. Pairing only ever joins two deficient nodes, so
     no node is pushed past its reference degree.
     """
@@ -266,7 +274,7 @@ def _deficit_matching(cur: dict, is_adjacent, add_edge,
         partner = None
         skipped = []
         scanned = 0
-        while heap and scanned < partner_cap:
+        while heap and scanned < PARTNER_CAP:
             entry = heapq.heappop(heap)
             dv, v = -entry[0], entry[1]
             if cur.get(v, 0) != dv:
@@ -293,7 +301,7 @@ def _deficit_matching(cur: dict, is_adjacent, add_edge,
     return added, residual
 
 
-def _match_within(lg: _LocalGraph, item: ClusterWork, partner_cap: int) -> tuple[list, dict]:
+def _match_within(lg: _LocalGraph, item: ClusterWork) -> tuple[list, dict]:
     """Deficit matching inside one cluster, on its current local graph.
 
     Deficits count the member's full current degree (intra plus its fixed
@@ -308,25 +316,25 @@ def _match_within(lg: _LocalGraph, item: ClusterWork, partner_cap: int) -> tuple
         cur,
         is_adjacent=lambda u, v: v in lg.adj[u],
         add_edge=lg.add,
-        partner_cap=partner_cap,
     )
 
 
-def match_degrees_per_cluster(item: ClusterWork,
-                              partner_cap: int = DEFAULT_PARTNER_CAP
-                              ) -> tuple[list, dict]:
+def match_degrees_per_cluster(item: ClusterWork) -> tuple[list, dict]:
     """Degree matching allowed to add intra-cluster edges only."""
-    return _match_within(_LocalGraph(len(item.members), item.edges), item, partner_cap)
+    return _match_within(_LocalGraph(len(item.members), item.edges), item)
 
 
-def match_degrees_global(edge_set: set, deficits: np.ndarray,
-                         partner_cap: int = DEFAULT_PARTNER_CAP
-                         ) -> tuple[list, dict]:
+def match_degrees_global(edges: np.ndarray, deficits: np.ndarray) -> tuple[list, dict]:
     """Degree matching over the whole clustered part; edges may cross clusters.
 
-    edge_set holds canonical (u, v) pairs and is mutated in place.
+    edges is the canonical (m, 2) array of the current clustered part and
+    is left unchanged. The matcher only ever tests a pair of two nodes
+    with a positive deficit, so only the edges between two such nodes
+    enter its private adjacency set.
     """
-    cur = {int(v): int(d) for v, d in enumerate(deficits) if d > 0}
+    need = deficits > 0
+    cur = dict(zip(np.flatnonzero(need).tolist(), deficits[need].tolist()))
+    edge_set = set(map(tuple, edges[need[edges[:, 0]] & need[edges[:, 1]]].tolist()))
 
     def is_adjacent(u, v):
         return ((u, v) if u < v else (v, u)) in edge_set
@@ -334,11 +342,10 @@ def match_degrees_global(edge_set: set, deficits: np.ndarray,
     def add_edge(u, v):
         edge_set.add((u, v) if u < v else (v, u))
 
-    return _deficit_matching(cur, is_adjacent, add_edge, partner_cap)
+    return _deficit_matching(cur, is_adjacent, add_edge)
 
 
-def process_cluster(item: ClusterWork, variant: str,
-                    partner_cap: int = DEFAULT_PARTNER_CAP) -> RepairOutcome:
+def process_cluster(item: ClusterWork, variant: str) -> RepairOutcome:
     """Run one cluster through a variant's per-cluster stage sequence."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -354,11 +361,11 @@ def process_cluster(item: ClusterWork, variant: str,
     out.added[STAGE_MINCUT] = cut_added
     out.warnings.extend(warnings)
     if variant == VARIANT_PP:
-        out.added[STAGE_DEGREE_MATCH], out.residual = _match_within(lg, item, partner_cap)
+        out.added[STAGE_DEGREE_MATCH], out.residual = _match_within(lg, item)
     return out
 
 
 def repair_cluster_task(args) -> RepairOutcome:
-    """Process-pool entry point: args is (ClusterWork, variant, partner_cap)."""
-    item, variant, partner_cap = args
-    return process_cluster(item, variant, partner_cap)
+    """Process-pool entry point: args is (ClusterWork, variant)."""
+    item, variant = args
+    return process_cluster(item, variant)

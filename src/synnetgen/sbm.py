@@ -21,7 +21,7 @@ from .graphs import Clustering
 log = logging.getLogger(__name__)
 
 DEFAULT_CHUNK_SIZE = 1 << 16
-DEFAULT_MAX_RETRIES = 30
+MAX_RETRIES = 30  # redraws per demanded edge before it counts as shortfall
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,7 @@ def _draw(rng, cumw, nodes, k):
 
 
 def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
-                 seed: int, max_retries: int = DEFAULT_MAX_RETRIES
-                 ) -> tuple[np.ndarray, SampleReport]:
+                 seed: int) -> tuple[np.ndarray, SampleReport]:
     """Sample a simple graph realizing the block matrix counts.
 
     Returns the placed edges as a canonical (u < v, lexicographically
@@ -123,7 +122,7 @@ def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
     Every coordinate gets its own RNG stream derived from (seed, index),
     so the draw for one coordinate never depends on any other and the
     output is identical no matter how coordinates are scheduled. Each
-    demanded edge gets at most max_retries redraws before it is dropped
+    demanded edge gets at most MAX_RETRIES redraws before it is dropped
     and counted as shortfall. A block whose weights sum to zero falls
     back to uniform endpoints.
     """
@@ -182,7 +181,7 @@ def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
         )
         seen: set[tuple[int, int]] = set()
         need = cnt
-        for _ in range(max_retries + 1):
+        for _ in range(MAX_RETRIES + 1):
             if need == 0:
                 break
             du = _draw(rng, cum_r, nodes_r, need)

@@ -260,16 +260,18 @@ def structural_violations(g_out, c, stats):
     of violation strings (empty means all guarantees hold): connectivity,
     exact min cut >= min(k, size-1), min intra degree >= min(max(1,k), size-1).
     """
-    from synnetgen import global_min_cut, induced_subgraph
+    from synnetgen import global_min_cut
     from synnetgen.repair import min_degree_target
 
+    arr = g_out.edge_array()
     bad = []
     for cid, s in stats.items():
         members = c.members(cid)
         size = len(members)
         if size < 2:
             continue
-        sub, _ = induced_subgraph(g_out, members)
+        inside = np.isin(arr, members).all(axis=1)
+        sub = build_csr(np.searchsorted(members, arr[inside]), size)
         cut = global_min_cut(sub).value
         need_cut = max(1, min(s.mincut, size - 1))
         if cut < need_cut:

@@ -186,15 +186,15 @@ def test_degree_matching_monotonicity():
         item = ClusterWork(
             cluster_id=0,
             members=np.arange(size, dtype=np.int64),
-            edges=set(edges),
+            edges=np.array(sorted(edges), dtype=np.int64).reshape(-1, 2),
             target_cut=1,
             ref_deg=ref,
             ext_deg=ext,
         )
         before = rmse(ref, deg + ext)
-        match_degrees_per_cluster(item)
+        added, _ = match_degrees_per_cluster(item)
         after_deg = np.zeros(size, dtype=np.int64)
-        for u, v in item.edges:
+        for u, v in sorted(edges) + added:
             after_deg[u] += 1
             after_deg[v] += 1
         after = rmse(ref, after_deg + ext)

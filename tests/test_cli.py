@@ -48,7 +48,7 @@ def test_generate_structure(ref_files, tmp_path):
     # output universe is a subset of the reference labels; rebuild over the
     # reference universe so cluster membership lines up
     n = len(assignment)
-    remap = loaded.labels[loaded.edges.to_array()]
+    remap = loaded.labels[loaded.edges]
     g = build_csr(remap, n)
     c = Clustering(assignment)
     ref = build_csr(arr, n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from synnetgen import Clustering, ClusterStats, build_csr, compute_stats
+from synnetgen import Clustering, ClusterStats, build_csr, cluster_stats, compute_stats
 from synnetgen.cluster_stats import (
     cluster_edge_tables,
     read_stats_csv,
@@ -85,6 +85,38 @@ def test_workers_do_not_change_results():
     a = compute_stats(g, c, workers=1)
     b = compute_stats(g, c, workers=4)
     assert a == b
+
+
+def test_pool_clamps_workers_to_usable_cpus(monkeypatch):
+    # a recorder in place of the process pool: no process is ever started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cluster_stats, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cluster_stats.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    rng = np.random.default_rng(31)
+    g = build_csr(random_edge_array(rng, 40, 0.15), 40)
+    c = random_clustering(rng, 40, 5)
+    assert compute_stats(g, c, workers=10_000) == compute_stats(g, c, workers=1)
+    with cluster_stats._pool(2) as executor:
+        assert list(executor(abs, [-1, 2])) == [1, 2]
+    assert sizes == [3, 2]
+    monkeypatch.setattr(cluster_stats.os, "sched_getaffinity", lambda pid: {0})
+    with cluster_stats._pool(16) as executor:
+        assert executor is map
+    assert sizes == [3, 2]
 
 
 def test_csv_round_trip(tmp_path):

@@ -7,7 +7,6 @@ from synnetgen import (
     GraphFormatError,
     build_csr,
     connected_components,
-    induced_subgraph,
     load_clustering,
     load_edge_list,
     write_clustering,
@@ -72,9 +71,9 @@ def test_has_edge():
 
 
 def test_csr_input_order_does_not_matter():
-    edges = [(0, 3), (1, 2), (0, 1)]
-    a = build_csr(EdgeSet(edges), 4)
-    b = build_csr(EdgeSet(list(reversed(edges))), 4)
+    edges = np.array([(0, 3), (1, 2), (0, 1)])
+    a = build_csr(edges, 4)
+    b = build_csr(edges[::-1, ::-1], 4)
     assert a.cols.tolist() == b.cols.tolist()
     assert a.offsets.tolist() == b.offsets.tolist()
 
@@ -110,7 +109,23 @@ def test_load_edge_list_basics(tmp_path):
     assert res.self_loops_dropped == 1
     assert res.duplicates_dropped == 1
     # 10<->1, 20<->2, 30<->3 internally
-    assert res.edges.to_array().tolist() == [[1, 3], [2, 3]]
+    assert res.edges.tolist() == [[1, 3], [2, 3]]
+
+
+def test_load_edge_list_returns_canonical_array(tmp_path):
+    rng = np.random.default_rng(5)
+    arr = random_edge_array(rng, 60, 0.1)
+    rows = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in arr.tolist()]
+    rows = [rows[i] for i in rng.permutation(len(rows))] + rows[:5]
+    p = tmp_path / "net.tsv"
+    p.write_text("".join(f"{u}\t{v}\n" for u, v in rows))
+    res = load_edge_list(p)
+    assert isinstance(res.edges, np.ndarray)
+    assert res.edges.dtype == np.int64 and res.edges.shape == (len(arr), 2)
+    assert (res.edges[:, 0] < res.edges[:, 1]).all()
+    assert np.lexsort(res.edges.T[::-1]).tolist() == list(range(len(arr)))
+    assert res.labels[res.edges].tolist() == arr.tolist()
+    assert res.duplicates_dropped == 5
 
 
 def test_self_loop_only_node_stays_in_universe(tmp_path):
@@ -153,15 +168,15 @@ def test_edge_list_round_trip(tmp_path):
         res = load_edge_list(p)
         used = np.unique(labels[arr])
         assert res.labels.tolist() == used.tolist()
-        ext = res.labels[res.edges.to_array()]
+        ext = res.labels[res.edges]
         assert ext.tolist() == labels[arr].tolist()
 
 
 def test_write_edge_list_bytes(tmp_path):
     p = tmp_path / "out.tsv"
-    write_edge_list(EdgeSet([(2, 0), (0, 1)]), np.array([10, 20, 30]), p)
+    write_edge_list(np.array([[0, 1], [0, 2]]), np.array([10, 20, 30]), p)
     assert p.read_text() == "10\t20\n10\t30\n"
-    write_edge_list(EdgeSet(), np.array([10]), p)
+    write_edge_list(np.empty((0, 2), dtype=np.int64), np.array([10]), p)
     assert p.read_text() == ""
 
 
@@ -223,29 +238,3 @@ def test_connected_components_random():
         for u in range(n):
             for v in range(n):
                 assert (labels[u] == labels[v]) == (find(u) == find(v))
-
-
-def test_induced_subgraph():
-    g = build_csr(np.array([[0, 1], [1, 2], [2, 3], [0, 3], [1, 4]]), 5)
-    sub, index_map = induced_subgraph(g, [3, 1, 0])
-    assert index_map.tolist() == [0, 1, 3]
-    assert sub.n == 3
-    assert sub.edge_array().tolist() == [[0, 1], [0, 2]]
-
-
-def test_induced_subgraph_random_consistency():
-    rng = np.random.default_rng(23)
-    for _ in range(15):
-        n = int(rng.integers(2, 30))
-        arr = random_edge_array(rng, n, 0.25)
-        g = build_csr(arr, n)
-        take = rng.random(n) < 0.5
-        nodes = np.flatnonzero(take)
-        sub, index_map = induced_subgraph(g, nodes)
-        assert index_map.tolist() == nodes.tolist()
-        expect = sorted(
-            (int(np.searchsorted(nodes, u)), int(np.searchsorted(nodes, v)))
-            for u, v in arr.tolist()
-            if take[u] and take[v]
-        )
-        assert sub.edge_array().tolist() == [list(e) for e in expect]

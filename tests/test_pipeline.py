@@ -1,6 +1,7 @@
 import json
 import time
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from synnetgen import (
     split,
     synthesize,
 )
-from synnetgen import pipeline
+from synnetgen import pipeline, repair
 from synnetgen.graphs import load_clustering, load_edge_list
+from synnetgen.mincut import check_size
 from synnetgen.pipeline import _build_work_items, _merge_arrays
 
 from helpers import (
@@ -65,8 +67,8 @@ def test_build_work_items_external_degrees():
     gc_sample = np.array([[0, 1], [1, 2]])
     items = _build_work_items(res, gc_sample, stats)
     assert [it.cluster_id for it in items] == [0, 1]
-    assert items[0].edges == {(0, 1)}
-    assert items[1].edges == set()
+    assert items[0].edges.tolist() == [[0, 1]]
+    assert items[1].edges.shape == (0, 2)
     # node 1 has the inter edge; cluster-1 side lands on node 2
     assert items[0].ext_deg.tolist() == [0, 1]
     assert items[1].ext_deg.tolist() == [1, 0]
@@ -151,6 +153,18 @@ def test_injected_stats_match_recomputation(small_reference):
     assert b.stats == stats
 
 
+def test_repair_guard_applies_with_injected_stats(small_reference, monkeypatch):
+    # injected stats compute no cut, so repair's own guard must refuse a
+    # cluster over it before allocating the cut matrix
+    g, c = small_reference
+    stats = compute_stats(g, c)
+    monkeypatch.setattr(repair, "check_size", partial(check_size, size_guard=4))
+    with pytest.raises(PipelineError) as info:
+        synthesize(g, c, "pp", seed=3, stats=stats)
+    assert info.value.stage == "repair"
+    assert "guard 4" in str(info.value)
+
+
 def test_all_singletons_pipeline():
     # no clustered part at all: output is just the singleton model draw
     arr = np.array([[0, 1], [1, 2], [2, 3], [0, 3]])
@@ -210,7 +224,7 @@ def test_run_pipeline_writes_bundle(tmp_path, small_reference):
         assert p.exists()
     # the written network parses and matches the in-memory result
     loaded = load_edge_list(edges_file)
-    assert loaded.edges.to_array().tolist() == result.edges.tolist()
+    assert loaded.edges.tolist() == result.edges.tolist()
     # ground truth clustering round-trips the input assignment
     c2 = load_clustering(clust_file, np.arange(g.n))
     assert nmi(c2, c) == 1.0
@@ -272,8 +286,8 @@ def test_run_both_variants(tmp_path, small_reference):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_both_variants_matches_single_variant_runs(tmp_path, small_reference,
                                                         workers):
-    # both variants finish from one preparation; repair mutates its work
-    # items, so a variant that saw the other's items would differ here
+    # both variants finish from one preparation; a finish that changed
+    # the shared preparation would make the second variant differ here
     g, c = small_reference
     net, clu = write_network_files(tmp_path, g.edge_array(), c.assignment)
     run_both_variants(net, clu, tmp_path / "both", seed=12, workers=workers)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,11 @@ from synnetgen import (
     match_degrees_per_cluster,
     process_cluster,
 )
+from synnetgen import repair
+from synnetgen.mincut import MinCutSizeError, check_size
 from synnetgen.repair import (
+    PARTNER_CAP,
+    _deficit_matching,
     _enforce_min_degree,
     _LocalGraph,
     _repair_mincut,
@@ -21,14 +26,21 @@ from synnetgen.repair import (
 from helpers import (
     brute_force_min_cut,
     min_edges_for_degree_floor,
+    random_edge_array,
 )
+
+
+def canon(edges):
+    """Canonical sorted int64 edge array of an iterable of pairs."""
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def work(size, edges, k=1, ref=None, ext=None, cid=0):
     return ClusterWork(
         cluster_id=cid,
         members=np.arange(size, dtype=np.int64),
-        edges={(min(u, v), max(u, v)) for u, v in edges},
+        edges=canon(edges),
         target_cut=k,
         ref_deg=np.array(ref if ref is not None else [0] * size, dtype=np.int64),
         ext_deg=np.array(ext if ext is not None else [0] * size, dtype=np.int64),
@@ -37,7 +49,20 @@ def work(size, edges, k=1, ref=None, ext=None, cid=0):
 
 def local(size, edges):
     """A stage's input: the cluster's local graph, which the stage mutates."""
-    return _LocalGraph(size, {(min(u, v), max(u, v)) for u, v in edges})
+    return _LocalGraph(size, canon(edges))
+
+
+def with_added(item, *added):
+    """The item's edges plus every pair in the given lists of added edges."""
+    out = set(map(tuple, item.edges.tolist()))
+    for pairs in added:
+        out.update(pairs)
+    return out
+
+
+def repaired(item, out):
+    """The cluster's edges after process_cluster returned outcome out."""
+    return with_added(item, *out.added.values())
 
 
 def degrees_of(edges, size):
@@ -192,6 +217,18 @@ def test_repair_mincut_random_eight_node():
         assert brute_force_min_cut(8, lg.edges) >= 3
 
 
+def test_repair_mincut_refuses_cluster_over_size_guard(monkeypatch):
+    # the guard is checked before the first cut matrix is allocated
+    monkeypatch.setattr(repair, "check_size", partial(check_size, size_guard=4))
+    with pytest.raises(MinCutSizeError):
+        _repair_mincut(local(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 2)
+    # no cut needed: a target of 0 never reaches the guard
+    assert _repair_mincut(local(5, []), 0) == ([], [])
+    # at the guard is allowed
+    added, _ = _repair_mincut(local(4, [(0, 1), (1, 2), (2, 3)]), 2)
+    assert added
+
+
 def test_repair_mincut_target_clamped_by_size():
     # size 3, k=5: target is 2, reachable
     lg = local(3, [(0, 1), (1, 2)])
@@ -232,8 +269,8 @@ def test_match_never_overshoots():
         before = degrees_of(edges, size)
         ref = [int(d + rng.integers(0, 4)) for d in before]
         item = work(size, edges, ref=ref)
-        match_degrees_per_cluster(item)
-        after = degrees_of(item.edges, size)
+        added, _ = match_degrees_per_cluster(item)
+        after = degrees_of(with_added(item, added), size)
         for v in range(size):
             assert after[v] <= ref[v] or after[v] == before[v]
 
@@ -254,7 +291,7 @@ def test_match_rmse_never_increases():
         ref = [int(rng.integers(0, size)) for _ in range(size)]
         item = work(size, edges, ref=ref)
         added, _ = match_degrees_per_cluster(item)
-        after = degrees_of(item.edges, size)
+        after = degrees_of(with_added(item, added), size)
         assert rmse_to(ref, after) <= rmse_to(ref, before)
         if added:
             assert rmse_to(ref, after) < rmse_to(ref, before)
@@ -321,22 +358,22 @@ def test_match_residual_at_least_optimum():
 
 def test_match_global_star_not_overshoot():
     # highest-deficit node takes both edges; partners reach zero deficit
-    edges = set()
+    edges = canon([])
     added, residual = match_degrees_global(edges, np.array([2, 1, 1]))
     assert sorted(added) == [(0, 1), (0, 2)]
-    assert edges == {(0, 1), (0, 2)}
+    assert edges.shape == (0, 2)
     assert residual == {}
 
 
 def test_match_global_zero_deficits_noop():
-    edges = {(0, 1)}
+    edges = canon([(0, 1)])
     added, residual = match_degrees_global(edges, np.zeros(4, dtype=np.int64))
     assert added == [] and residual == {}
-    assert edges == {(0, 1)}
+    assert edges.tolist() == [[0, 1]]
 
 
 def test_match_global_residual_when_saturated():
-    edges = {(0, 1)}
+    edges = canon([(0, 1)])
     added, residual = match_degrees_global(edges, np.array([3, 1]))
     assert added == []
     assert residual == {0: 3, 1: 1}
@@ -344,21 +381,54 @@ def test_match_global_residual_when_saturated():
 
 def test_match_global_crosses_clusters():
     # two nodes in different clusters can still pair: nothing restricts ids
-    edges = set()
-    added, _ = match_degrees_global(edges, np.array([0, 1, 0, 1]))
+    added, _ = match_degrees_global(canon([]), np.array([0, 1, 0, 1]))
     assert added == [(1, 3)]
+
+
+def test_match_global_leaves_its_array_unchanged():
+    rng = np.random.default_rng(111)
+    arr = random_edge_array(rng, 40, 0.2)
+    before = arr.copy()
+    added, _ = match_degrees_global(arr, rng.integers(0, 5, size=40))
+    assert added
+    assert arr.tolist() == before.tolist()
+
+
+def test_match_global_equals_matching_over_all_edges():
+    # the matcher keeps only edges between two deficient nodes; matching
+    # over the full edge set must give exactly the same pairs and residual
+    rng = np.random.default_rng(113)
+    for _ in range(60):
+        n = int(rng.integers(2, 120))
+        arr = random_edge_array(rng, n, float(rng.uniform(0.02, 0.6)))
+        deficits = rng.integers(-2, 6, size=n)
+        full = set(map(tuple, arr.tolist()))
+
+        def add_edge(u, v):
+            full.add((min(u, v), max(u, v)))
+
+        cur = {v: int(d) for v, d in enumerate(deficits.tolist()) if d > 0}
+        expect = _deficit_matching(
+            cur, lambda u, v: (min(u, v), max(u, v)) in full, add_edge)
+        assert match_degrees_global(arr, deficits) == expect
 
 
 def test_partner_cap_retires_after_scan():
     # node 0 adjacent to every other deficient node; cap smaller than the
     # candidate list forces retirement with residual
-    size = 6
-    edges = {(0, v) for v in range(1, size)}
-    deficits = np.array([4, 1, 1, 1, 1, 1])
-    added, residual = match_degrees_global(set(edges), deficits, partner_cap=3)
+    size = PARTNER_CAP + 3
+    edges = canon((0, v) for v in range(1, size))
+    deficits = np.array([4] + [1] * (size - 1))
+    added, residual = match_degrees_global(edges, deficits)
     assert residual.get(0) == 4
     # the remaining nodes pair among themselves
-    assert len(added) == 2
+    assert len(added) == (size - 1) // 2
+    # with the last two spokes gone, free partners sit past the cap: node 0
+    # still retires after scanning PARTNER_CAP adjacent candidates
+    edges = canon((0, v) for v in range(1, PARTNER_CAP + 1))
+    added, residual = match_degrees_global(edges, deficits)
+    assert residual.get(0) == 4
+    assert all(0 not in pair for pair in added)
 
 
 def test_process_cluster_satisfied_is_noop():
@@ -373,10 +443,11 @@ def test_process_cluster_satisfied_is_noop():
 def test_process_cluster_postconditions_small():
     item = work(4, [], k=1, ref=[1, 1, 1, 1])
     out = process_cluster(item, "pp")
-    deg = degrees_of(item.edges, 4)
+    edges = repaired(item, out)
+    deg = degrees_of(edges, 4)
     assert min(deg) >= 1
-    assert len(components_of(item.edges, 4)) == 1
-    assert out.added_count() == len(item.edges)
+    assert len(components_of(edges, 4)) == 1
+    assert out.added_count() == len(edges)
 
 
 def test_process_cluster_pp_sampled_ten_nodes():
@@ -389,10 +460,11 @@ def test_process_cluster_pp_sampled_ten_nodes():
         ref = [2 + int(rng.integers(0, 3)) for _ in range(10)]
         item = work(10, edges, k=2, ref=ref)
         out = process_cluster(item, "pp")
-        deg = degrees_of(item.edges, 10)
+        out_edges = repaired(item, out)
+        deg = degrees_of(out_edges, 10)
         assert min(deg) >= 2
-        assert len(components_of(item.edges, 10)) == 1
-        assert brute_force_min_cut(10, item.edges) >= 2
+        assert len(components_of(out_edges, 10)) == 1
+        assert brute_force_min_cut(10, out_edges) >= 2
         for stage in ("stitch", "min_degree", "mincut", "degree_match"):
             assert stage in out.added
 
@@ -418,9 +490,9 @@ def test_variants_order_stages_differently():
     pp_out = process_cluster(pp_item, "pp")
     plus_out = process_cluster(plus_item, "plus")
     # both satisfy the floor and connectivity either way
-    for item in (pp_item, plus_item):
-        assert min(degrees_of(item.edges, 4)) >= 1
-        assert len(components_of(item.edges, 4)) == 1
+    for item, out in ((pp_item, pp_out), (plus_item, plus_out)):
+        assert min(degrees_of(repaired(item, out), 4)) >= 1
+        assert len(components_of(repaired(item, out), 4)) == 1
     # pp: the stitch edge already satisfies min degree, nothing more needed
     assert len(pp_out.added["stitch"]) == 1
     assert pp_out.added["min_degree"] == []
@@ -441,3 +513,21 @@ def test_process_cluster_deterministic():
         outs.append(process_cluster(item, "pp"))
     assert outs[0].added == outs[1].added == outs[2].added
     assert outs[0].residual == outs[1].residual
+
+
+def test_repair_leaves_work_items_unchanged():
+    rng = np.random.default_rng(109)
+    edges = [
+        e for e in itertools.combinations(range(12), 2) if rng.random() < 0.15
+    ]
+    ref = [int(rng.integers(1, 6)) for _ in range(12)]
+    for variant in ("plus", "pp"):
+        item = work(12, edges, k=3, ref=ref)
+        before = item.edges.copy()
+        out = process_cluster(item, variant)
+        assert out.added_count() > 0
+        assert item.edges.tolist() == before.tolist()
+    item = work(12, edges, ref=ref)
+    added, _ = match_degrees_per_cluster(item)
+    assert added
+    assert item.edges.tolist() == canon(edges).tolist()
