@@ -2,7 +2,8 @@
 
 Three small seeded planted references (a few large clusters, many tiny
 clusters, a high singleton share) go through `compare-versions` at 1 and 2
-workers, then `eval` of each variant against its reference. The sha256 of
+workers, then `eval` of each variant against its reference, both with the
+default modes and with `--alignment sorted --mixing node-mean`. The sha256 of
 every output file, except the timing files run_report.json and
 comparison.json, must equal tests/golden.json. The digests of the input
 files are pinned too, so a change to the test helpers shows up as an input
@@ -38,6 +39,11 @@ REFERENCES = {
     "singletons": (503, dict(n_nodes=500, n_clusters=15, singleton_frac=0.5)),
 }
 SEED = 17
+# golden key -> extra eval arguments
+EVAL_MODES = {
+    "eval": [],
+    "eval_sorted": ["--alignment", "sorted", "--mixing", "node-mean"],
+}
 
 
 def _sha256(path: Path) -> str:
@@ -62,12 +68,15 @@ def run_reference(name: str, tmp: Path) -> dict:
                      "--seed", str(SEED), "--workers", str(workers),
                      "--out-dir", str(out)]) == 0
         digests[f"w{workers}"] = _tree_digests(out)
-    # the two worker counts must agree, so eval runs on one of them
-    for variant in ("plus", "pp"):
-        assert main(["eval", "--reference", str(net),
-                     "--synthetic", str(tmp / "w1" / variant / "synthetic_network.tsv"),
-                     "--clustering", str(clu), "--out", str(tmp / "eval" / variant)]) == 0
-    digests["eval"] = _tree_digests(tmp / "eval")
+    # the two worker counts must agree, so eval runs on one of them, once
+    # with the default modes and once with the other two
+    for key, modes in EVAL_MODES.items():
+        for variant in ("plus", "pp"):
+            assert main(["eval", "--reference", str(net),
+                         "--synthetic", str(tmp / "w1" / variant / "synthetic_network.tsv"),
+                         "--clustering", str(clu), "--out", str(tmp / key / variant),
+                         *modes]) == 0
+        digests[key] = _tree_digests(tmp / key)
     return digests
 
 
@@ -83,7 +92,8 @@ def test_golden_digests(name, golden, tmp_path):
     assert got["inputs"] == want["inputs"], "test inputs changed, not the program"
     assert got["w1"] == want["outputs"]
     assert got["w2"] == want["outputs"]
-    assert got["eval"] == want["eval"]
+    for key in EVAL_MODES:
+        assert got[key] == want[key]
 
 
 def _regenerate() -> None:
@@ -94,7 +104,8 @@ def _regenerate() -> None:
         with tempfile.TemporaryDirectory() as tmp:
             got = run_reference(name, Path(tmp))
         assert got["w1"] == got["w2"], f"{name}: output depends on the worker count"
-        out[name] = {"inputs": got["inputs"], "outputs": got["w1"], "eval": got["eval"]}
+        out[name] = {"inputs": got["inputs"], "outputs": got["w1"],
+                     **{key: got[key] for key in EVAL_MODES}}
     GOLDEN.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
