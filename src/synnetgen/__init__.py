@@ -14,7 +14,7 @@ from .graphs import (
 )
 from .mincut import MinCutResult, global_min_cut, min_cut_of_edges
 from .splitting import SplitResult, split
-from .cluster_stats import ClusterStats, compute_stats, reference_degrees
+from .cluster_stats import ClusterStats, compute_stats
 from .sbm import BlockMatrix, build_block_matrix, degree_weights, sample_dcsbm
 from .repair import (
     VARIANT_PLUS,

@@ -1,7 +1,7 @@
 """Command line entry points.
 
 Exit codes: 0 on success, 2 for unreadable or malformed inputs, 3 when a
-pipeline stage fails.
+pipeline stage fails or a cluster is too large for an exact min cut.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .graphs import (
 )
 from .metrics import ALIGN_IDENTITY, ALIGN_SORTED, MIXING_EDGE_FRACTION, \
     MIXING_NODE_MEAN, compare_networks
+from .mincut import MinCutSizeError
 from .pipeline import PipelineConfig, PipelineError, run_both_variants, run_pipeline
 from .splitting import split
 
@@ -73,7 +74,7 @@ def _cmd_split(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     gc_labels = loaded.labels[res.gc_nodes]
-    write_edge_list(res.g_c.edge_array(), gc_labels, out / "clustered_edges.tsv")
+    write_edge_list(res.g_c_edges, gc_labels, out / "clustered_edges.tsv")
     write_edge_list(res.g_s_edges, loaded.labels, out / "singleton_edges.tsv")
     write_clustering(res.c_c, gc_labels, out / "clustered_clustering.tsv")
     write_clustering(res.c_s, loaded.labels, out / "singleton_clustering.tsv")
@@ -180,7 +181,7 @@ def main(argv=None) -> int:
     except (GraphFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except PipelineError as exc:
+    except (PipelineError, MinCutSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
 

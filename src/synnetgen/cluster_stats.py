@@ -90,11 +90,6 @@ def _pool(workers: int):
         yield executor
 
 
-def reference_degrees(g: CsrGraph) -> np.ndarray:
-    """Degree of every node, the target sequence for degree matching."""
-    return g.degrees.astype(np.int64)
-
-
 def write_stats_csv(stats: dict[int, ClusterStats], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

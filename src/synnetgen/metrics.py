@@ -211,58 +211,42 @@ def cluster_mincut_map(g: CsrGraph, c: Clustering) -> dict[int, int]:
 
 @dataclass
 class NetworkStats:
-    """Descriptive statistics of one network under one clustering."""
+    """Statistics of one network under one clustering.
 
-    degree_sequence: np.ndarray          # descending
-    mincut_sequence: np.ndarray          # descending, one per multi cluster
+    The sequences are raw and aligned: one degree per node, one min cut
+    per multi-node cluster in cluster id order and one degree per
+    singleton node, so two records on the same node universe and
+    clustering compare entry by entry.
+    """
+
+    degrees: np.ndarray
+    mincuts: np.ndarray
     diameter: int
     diameter_exact: bool
     outlier_clustered_edges: int
-    outlier_degree_sequence: np.ndarray  # descending
+    outlier_degrees: np.ndarray
     local_clustering_mean: float
     global_clustering: float
     mixing: float
-    mixing_mode: str
-
-    def to_dict(self) -> dict:
-        return {
-            "degree_sequence": self.degree_sequence.tolist(),
-            "mincut_sequence": self.mincut_sequence.tolist(),
-            "diameter": self.diameter,
-            "diameter_exact": self.diameter_exact,
-            "outlier_clustered_edges": self.outlier_clustered_edges,
-            "outlier_degree_sequence": self.outlier_degree_sequence.tolist(),
-            "local_clustering_mean": self.local_clustering_mean,
-            "global_clustering": self.global_clustering,
-            "mixing": self.mixing,
-            "mixing_mode": self.mixing_mode,
-        }
 
 
 def compute_network_stats(g: CsrGraph, c: Clustering,
-                          mixing_mode: str = MIXING_EDGE_FRACTION,
-                          count_low_degree_as_zero: bool = True,
-                          diameter_guard: int = DIAMETER_GUARD) -> NetworkStats:
+                          mixing_mode: str = MIXING_EDGE_FRACTION) -> NetworkStats:
     if c.n != g.n:
         raise ValueError("clustering does not cover the graph's nodes")
-    deg = g.degrees
     cuts = cluster_mincut_map(g, c)
-    diam, exact = diameter_largest_component(g, guard=diameter_guard)
-    mean_local, global_coeff = clustering_coefficients(
-        g, count_low_degree_as_zero=count_low_degree_as_zero)
-    singles = c.singleton_nodes
+    diam, exact = diameter_largest_component(g)
+    mean_local, global_coeff = clustering_coefficients(g)
     return NetworkStats(
-        degree_sequence=np.sort(deg)[::-1].copy(),
-        mincut_sequence=np.sort(np.array(
-            [cuts[cid] for cid in sorted(cuts)], dtype=np.int64))[::-1].copy(),
+        degrees=g.degrees,
+        mincuts=np.array([cuts[cid] for cid in sorted(cuts)], dtype=np.int64),
         diameter=diam,
         diameter_exact=exact,
         outlier_clustered_edges=outlier_clustered_edge_count(g, c),
-        outlier_degree_sequence=np.sort(deg[singles])[::-1].copy(),
+        outlier_degrees=g.degrees[c.singleton_nodes],
         local_clustering_mean=mean_local,
         global_clustering=global_coeff,
         mixing=mixing_parameter(g, c, mode=mixing_mode),
-        mixing_mode=mixing_mode,
     )
 
 
@@ -319,83 +303,54 @@ class MetricReport:
 
 def compare_networks(g_ref: CsrGraph, g_syn: CsrGraph, c: Clustering,
                      alignment: str = ALIGN_IDENTITY,
-                     mixing_mode: str = MIXING_EDGE_FRACTION,
-                     count_low_degree_as_zero: bool = True,
-                     diameter_guard: int = DIAMETER_GUARD) -> MetricReport:
+                     mixing_mode: str = MIXING_EDGE_FRACTION) -> MetricReport:
     """Eight-statistic fidelity report, reference versus synthetic.
 
     Both graphs must live on the same node universe and share the
-    clustering. Degree sequences compare node-by-node under the identity
-    alignment (the default) or rank-by-rank when alignment="sorted";
-    min cut sequences align cluster-by-cluster.
+    clustering; each one's statistics come from compute_network_stats.
+    Degree sequences compare node-by-node under the identity alignment
+    (the default) or rank-by-rank when alignment="sorted"; min cut
+    sequences align cluster-by-cluster.
     """
     if g_ref.n != g_syn.n or g_ref.n != c.n:
         raise ValueError("graphs and clustering must share one node universe")
     if alignment not in (ALIGN_IDENTITY, ALIGN_SORTED):
         raise ValueError(f"unknown alignment {alignment!r}")
-    report = MetricReport(alignment=alignment, mixing_mode=mixing_mode)
+    ref = compute_network_stats(g_ref, c, mixing_mode)
+    syn = compute_network_stats(g_syn, c, mixing_mode)
 
-    deg_r = g_ref.degrees.astype(np.float64)
-    deg_s = g_syn.degrees.astype(np.float64)
-    if alignment == ALIGN_SORTED:
-        deg_r = np.sort(deg_r)[::-1]
-        deg_s = np.sort(deg_s)[::-1]
-    report.entries.append(MetricEntry(
-        "degree_sequence", "rmse", rmse(deg_r, deg_s), alignment))
+    def seq_rmse(a, b) -> float:
+        if alignment == ALIGN_SORTED:
+            a, b = np.sort(a)[::-1], np.sort(b)[::-1]
+        return rmse(a, b)
 
-    cuts_r = cluster_mincut_map(g_ref, c)
-    cuts_s = cluster_mincut_map(g_syn, c)
-    cids = sorted(cuts_r)
-    seq_r = [cuts_r[cid] for cid in cids]
-    seq_s = [cuts_s[cid] for cid in cids]
-    if alignment == ALIGN_SORTED:
-        seq_r = sorted(seq_r, reverse=True)
-        seq_s = sorted(seq_s, reverse=True)
-    note = "by-cluster-id" if alignment == ALIGN_IDENTITY else alignment
-    report.entries.append(MetricEntry(
-        "mincut_sequence", "rmse",
-        rmse(seq_r, seq_s) if cids else math.nan,
-        note if cids else "no multi-node clusters"))
+    def relative(stat, r, s, note="") -> MetricEntry:
+        val = relative_difference(r, s)
+        return MetricEntry(stat, "relative", val, note or (
+            "undefined: reference is 0" if math.isnan(val) else ""))
 
-    diam_r, exact_r = diameter_largest_component(g_ref, guard=diameter_guard)
-    diam_s, exact_s = diameter_largest_component(g_syn, guard=diameter_guard)
-    note = "" if exact_r and exact_s else "lower-bound"
-    val = relative_difference(diam_r, diam_s)
-    report.entries.append(MetricEntry(
-        "diameter", "relative", val,
-        note or ("undefined: reference is 0" if math.isnan(val) else "")))
-
-    oc_r = outlier_clustered_edge_count(g_ref, c)
-    oc_s = outlier_clustered_edge_count(g_syn, c)
-    val = relative_difference(oc_r, oc_s)
-    report.entries.append(MetricEntry(
-        "outlier_clustered_edges", "relative", val,
-        "undefined: reference is 0" if math.isnan(val) else ""))
-
-    singles = c.singleton_nodes
-    od_r = g_ref.degrees[singles].astype(np.float64)
-    od_s = g_syn.degrees[singles].astype(np.float64)
-    if alignment == ALIGN_SORTED:
-        od_r = np.sort(od_r)[::-1]
-        od_s = np.sort(od_s)[::-1]
-    report.entries.append(MetricEntry(
-        "outlier_degree_sequence", "rmse",
-        rmse(od_r, od_s) if len(singles) else math.nan,
-        "" if len(singles) else "no outliers"))
-
-    lc_r, gc_r = clustering_coefficients(g_ref, count_low_degree_as_zero)
-    lc_s, gc_s = clustering_coefficients(g_syn, count_low_degree_as_zero)
-    report.entries.append(MetricEntry(
-        "local_clustering_mean", "absolute", absolute_difference(lc_r, lc_s)))
-    report.entries.append(MetricEntry(
-        "global_clustering", "absolute", absolute_difference(gc_r, gc_s)))
-
-    mix_r = mixing_parameter(g_ref, c, mode=mixing_mode)
-    mix_s = mixing_parameter(g_syn, c, mode=mixing_mode)
-    report.entries.append(MetricEntry(
-        "mixing_parameter", "absolute", absolute_difference(mix_r, mix_s),
-        mixing_mode))
-    return report
+    cut_note = "by-cluster-id" if alignment == ALIGN_IDENTITY else alignment
+    exact = ref.diameter_exact and syn.diameter_exact
+    entries = [
+        MetricEntry("degree_sequence", "rmse",
+                    seq_rmse(ref.degrees, syn.degrees), alignment),
+        MetricEntry("mincut_sequence", "rmse", seq_rmse(ref.mincuts, syn.mincuts),
+                    cut_note if len(ref.mincuts) else "no multi-node clusters"),
+        relative("diameter", ref.diameter, syn.diameter,
+                 "" if exact else "lower-bound"),
+        relative("outlier_clustered_edges", ref.outlier_clustered_edges,
+                 syn.outlier_clustered_edges),
+        MetricEntry("outlier_degree_sequence", "rmse",
+                    seq_rmse(ref.outlier_degrees, syn.outlier_degrees),
+                    "" if len(ref.outlier_degrees) else "no outliers"),
+        MetricEntry("local_clustering_mean", "absolute", absolute_difference(
+            ref.local_clustering_mean, syn.local_clustering_mean)),
+        MetricEntry("global_clustering", "absolute", absolute_difference(
+            ref.global_clustering, syn.global_clustering)),
+        MetricEntry("mixing_parameter", "absolute",
+                    absolute_difference(ref.mixing, syn.mixing), mixing_mode),
+    ]
+    return MetricReport(entries=entries, alignment=alignment, mixing_mode=mixing_mode)
 
 
 # ===== Clustering agreement =====

@@ -39,7 +39,6 @@ from .cluster_stats import (
     _stats_task,
     cluster_edge_tables,
     read_stats_csv,
-    reference_degrees,
     validate_stats_cover,
 )
 from .graphs import (
@@ -120,11 +119,13 @@ def _merge_arrays(n: int, parts: list) -> tuple[np.ndarray, int]:
     return np.column_stack([uniq // n, uniq % n]), dups
 
 
-def _build_work_items(split_res: SplitResult, gc_sample: np.ndarray,
-                      stats: dict) -> list:
-    """Per-cluster repair inputs from the sampled clustered part, by cluster id."""
-    ref_deg = reference_degrees(split_res.g_c)
-    sampled_deg = np.bincount(gc_sample.ravel(), minlength=split_res.g_c.n)
+def _build_work_items(split_res: SplitResult, ref_deg: np.ndarray,
+                      gc_sample: np.ndarray, stats: dict) -> list:
+    """Per-cluster repair inputs from the sampled clustered part, by cluster id.
+
+    ref_deg is every clustered node's degree in the clustered reference part.
+    """
+    sampled_deg = np.bincount(gc_sample.ravel(), minlength=len(ref_deg))
     items = []
     for cid, members, local in _local_edge_groups(gc_sample, split_res.c_c):
         intra_deg = np.bincount(local.ravel(), minlength=len(members))
@@ -164,6 +165,7 @@ class _Prepared:
     g: CsrGraph
     seed: int
     split: SplitResult
+    gc_ref_deg: np.ndarray     # degrees in the clustered reference part, local ids
     stats: dict
     gc_sample: np.ndarray      # canonical, clustered-part local ids
     gs_sample: np.ndarray      # canonical, parent ids
@@ -189,13 +191,15 @@ def _prepare(g: CsrGraph, c: Clustering, seed: int, executor,
 
     with _stage(seconds, "split"):
         split_res = split(g, c)
+        gc_ref_deg = np.bincount(split_res.g_c_edges.ravel(),
+                                 minlength=len(split_res.gc_nodes))
 
     with _stage(seconds, "block_matrices"):
-        bm_c = build_block_matrix(split_res.g_c.edge_array(), split_res.c_c)
+        bm_c = build_block_matrix(split_res.g_c_edges, split_res.c_c)
         bm_s = build_block_matrix(split_res.g_s_edges, split_res.c_s)
 
     with _stage(seconds, "sampling"):
-        w_c = reference_degrees(split_res.g_c).astype(np.float64)
+        w_c = gc_ref_deg.astype(np.float64)
         w_s = degree_weights(split_res.g_s_edges, g.n)
         seed_c, seed_s = (int(x) for x in
                           np.random.SeedSequence(seed).generate_state(2, np.uint64))
@@ -222,8 +226,8 @@ def _prepare(g: CsrGraph, c: Clustering, seed: int, executor,
         "single_node_intra_blocks": rep_c.single_node_intra_blocks
         + rep_s.single_node_intra_blocks,
     }
-    return _Prepared(g=g, seed=seed, split=split_res, stats=stats,
-                     gc_sample=gc_sample, gs_sample=gs_sample, sbm=sbm,
+    return _Prepared(g=g, seed=seed, split=split_res, gc_ref_deg=gc_ref_deg,
+                     stats=stats, gc_sample=gc_sample, gs_sample=gs_sample, sbm=sbm,
                      shortfalls=shortfalls, stage_seconds=seconds)
 
 
@@ -236,7 +240,7 @@ def _finish(prepared: _Prepared, variant: str, executor,
     seconds include them.
     """
     split_res = prepared.split
-    n_c = split_res.g_c.n
+    n_c = len(split_res.gc_nodes)
     gc_sample = prepared.gc_sample
     report = RunReport(variant=variant, seed=prepared.seed, workers=workers,
                        nodes=prepared.g.n, stage_seconds=dict(prepared.stage_seconds),
@@ -244,7 +248,8 @@ def _finish(prepared: _Prepared, variant: str, executor,
     seconds = report.stage_seconds
 
     with _stage(seconds, "repair"):
-        items = _build_work_items(split_res, gc_sample, prepared.stats)
+        items = _build_work_items(split_res, prepared.gc_ref_deg, gc_sample,
+                                  prepared.stats)
         args = [(item, variant) for item in items]
         outcomes = list(executor(rp.repair_cluster_task, args))
 
@@ -275,7 +280,7 @@ def _finish(prepared: _Prepared, variant: str, executor,
     if variant == rp.VARIANT_PLUS:
         with _stage(seconds, "degree_match_global"):
             cur_deg = np.bincount(gc_merged.ravel(), minlength=n_c)
-            deficits = reference_degrees(split_res.g_c) - cur_deg
+            deficits = prepared.gc_ref_deg - cur_deg
             matched, residual = rp.match_degrees_global(gc_merged, deficits)
             added_counts[rp.STAGE_DEGREE_MATCH] += len(matched)
             if matched:
@@ -291,7 +296,7 @@ def _finish(prepared: _Prepared, variant: str, executor,
 
         report.edge_counts = {
             "reference": prepared.g.m,
-            "clustered_reference": int(split_res.g_c.m),
+            "clustered_reference": len(split_res.g_c_edges),
             "singleton_reference": len(split_res.g_s_edges),
             "clustered_sampled": int(len(gc_sample)),
             "singleton_sampled": int(len(prepared.gs_sample)),

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Clustering, CsrGraph, build_csr
+from .graphs import Clustering, CsrGraph
 
 
 @dataclass
 class SplitResult:
-    g_c: CsrGraph            # induced subgraph on clustered nodes, local ids
+    g_c_edges: np.ndarray    # clustered-side edges over local ids, canonical
     gc_nodes: np.ndarray     # local id -> parent id, ascending
-    c_c: Clustering          # original cluster ids, over g_c local ids
+    c_c: Clustering          # original cluster ids, over local ids
     g_s_edges: np.ndarray    # singleton-side edges over parent ids, canonical
     c_s: Clustering          # over parent ids; singletons get fresh ids
 
@@ -38,8 +38,8 @@ def split(g: CsrGraph, c: Clustering) -> SplitResult:
     """Partition g's edges by whether both endpoints are clustered.
 
     Pure edge filtering over the tabular edge list; no intermediate
-    adjacency is built. g_c keeps every clustered node even if it ends up
-    isolated there.
+    adjacency is built. The local ids cover every clustered node, even one
+    left isolated in the clustered part.
     """
     if c.n != g.n:
         raise ValueError(f"clustering covers {c.n} nodes, graph has {g.n}")
@@ -51,14 +51,13 @@ def split(g: CsrGraph, c: Clustering) -> SplitResult:
     gc_nodes = np.flatnonzero(clustered)
     mark = np.full(g.n, -1, dtype=np.int64)
     mark[gc_nodes] = np.arange(len(gc_nodes), dtype=np.int64)
-    g_c = build_csr(mark[gc_parent], len(gc_nodes))
     c_c = Clustering(c.assignment[gc_nodes])
 
     assign_s = c.assignment.copy()
     singles = c.singleton_nodes
     assign_s[singles] = fresh_singleton_ids(c)
     return SplitResult(
-        g_c=g_c,
+        g_c_edges=mark[gc_parent],  # mark is increasing, so still canonical
         gc_nodes=gc_nodes,
         c_c=c_c,
         g_s_edges=gs_arr,

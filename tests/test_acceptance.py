@@ -99,8 +99,8 @@ def test_split_identity():
         c = random_clustering(rng, n, int(rng.integers(1, max(2, n // 3))))
         res = split(g, c)
         gc_parent = {
-            tuple(e) for e in res.gc_nodes[res.g_c.edge_array()].tolist()
-        } if res.g_c.m else set()
+            tuple(e) for e in res.gc_nodes[res.g_c_edges].tolist()
+        } if len(res.g_c_edges) else set()
         gs = {tuple(e) for e in res.g_s_edges.tolist()}
         whole = {tuple(e) for e in arr.tolist()}
         if len(gc_parent) + len(gs) != len(whole):

@@ -9,6 +9,7 @@ from synnetgen import Clustering, build_csr, compute_stats
 from synnetgen.cli import main
 from synnetgen.cluster_stats import read_stats_csv, write_stats_csv
 from synnetgen.graphs import load_edge_list
+from synnetgen.mincut import DEFAULT_SIZE_GUARD
 from synnetgen.pipeline import PipelineError
 
 from helpers import planted_reference, structural_violations, write_network_files
@@ -98,6 +99,30 @@ def test_exit_code_pipeline_error(tmp_path, monkeypatch):
     rc = main(["generate", "--network", str(net), "--clustering", str(clu),
                "--out-dir", str(tmp_path / "o")])
     assert rc == 3
+
+
+@pytest.fixture(scope="module")
+def oversized_files(tmp_path_factory):
+    """One path cluster a node over the exact min cut's size guard."""
+    n = DEFAULT_SIZE_GUARD + 1
+    arr = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+    return write_network_files(tmp_path_factory.mktemp("oversized"), arr,
+                               np.zeros(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("command", ["stats", "eval"])
+def test_oversized_cluster_exits_three(oversized_files, tmp_path, capsys, command):
+    net, clu = oversized_files
+    inputs = (["--network", str(net)] if command == "stats"
+              else ["--reference", str(net), "--synthetic", str(net)])
+    rc = main([command, *inputs, "--clustering", str(clu),
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1
+    assert "exceeds exact min cut guard" in errors[0]
 
 
 def test_missing_required_arguments_exit_two():

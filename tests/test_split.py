@@ -24,8 +24,7 @@ def test_basic_split():
     c = Clustering([1, 1, 2, 2, 3])
     res = split(build_csr(arr, 5), c)
     assert res.gc_nodes.tolist() == [0, 1, 2, 3]
-    assert res.g_c.n == 4
-    assert res.g_c.edge_array().tolist() == [[0, 1], [0, 2], [2, 3]]
+    assert res.g_c_edges.tolist() == [[0, 1], [0, 2], [2, 3]]
     assert res.g_s_edges.tolist() == [[1, 4]]
     assert res.c_c.assignment.tolist() == [1, 1, 2, 2]
     # singleton keeps the universe and gets a fresh id past the max
@@ -50,8 +49,8 @@ def test_all_singletons():
     arr = np.array([[0, 1], [1, 2]])
     c = Clustering([0, 1, 2])
     res = split(build_csr(arr, 3), c)
-    assert res.g_c.n == 0
-    assert res.g_c.m == 0
+    assert len(res.gc_nodes) == 0
+    assert res.g_c_edges.shape == (0, 2)
     assert res.g_s_edges.tolist() == arr.tolist()
     assert len(np.unique(res.c_s.assignment)) == 3
 
@@ -60,13 +59,13 @@ def test_single_cluster_no_singletons():
     arr = np.array([[0, 1], [0, 2], [1, 2]])
     c = Clustering([5, 5, 5])
     res = split(build_csr(arr, 3), c)
-    assert res.g_c.edge_array().tolist() == arr.tolist()
+    assert res.g_c_edges.tolist() == arr.tolist()
     assert len(res.g_s_edges) == 0
     assert res.c_s.assignment.tolist() == [5, 5, 5]
 
 
 def test_edge_partition_identity_random():
-    """Mapped-back g_c edges plus g_s edges reproduce the input exactly."""
+    """Mapped-back g_c_edges plus g_s_edges reproduce the input exactly."""
     rng = np.random.default_rng(42)
     for _ in range(60):
         n = int(rng.integers(2, 60))
@@ -76,7 +75,7 @@ def test_edge_partition_identity_random():
         res = split(g, c)
         gc_expect, gs_expect, clustered = _split_oracle(arr, c.assignment)
         assert res.gc_nodes.tolist() == clustered
-        back = res.gc_nodes[res.g_c.edge_array()]
+        back = res.gc_nodes[res.g_c_edges]
         assert back.tolist() == gc_expect
         assert res.g_s_edges.tolist() == gs_expect
         # exact partition: union is the input, intersection empty
