@@ -173,6 +173,13 @@ class Clustering:
         """Ids of clusters with more than one member, ascending."""
         return self._ids[self._counts > 1]
 
+    @property
+    def grouped(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, bounds): node ids grouped by cluster, in cluster_ids order
+        and ascending within a cluster, so the members of cluster_ids[k]
+        are order[bounds[k]:bounds[k + 1]]."""
+        return self._order, self._bounds
+
     def size_of(self, cluster_id: int) -> int:
         return int(self._counts[self._index(cluster_id)])
 
@@ -295,26 +302,36 @@ def write_edge_list(edges, labels, path) -> None:
 def load_clustering(path, labels) -> Clustering:
     """Read a "node cluster" two-column file covering a graph's node universe.
 
-    Every graph node must get exactly one cluster; unknown or missing nodes
-    are an error naming the offender.
+    Every graph node must get exactly one cluster; unknown, repeated or
+    missing nodes are an error naming the offender. Of an unknown and a
+    repeated node, the one on the earlier line is named.
     """
-    pairs = _parse_int_pairs(path)
+    pairs = np.array(_parse_int_pairs(path), dtype=np.int64).reshape(-1, 2)
     labels = np.asarray(labels)
     n = len(labels)
-    assignment = np.full(n, -1, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    for node_label, cluster_id in pairs:
-        i = int(np.searchsorted(labels, node_label))
-        if i >= n or labels[i] != node_label:
+    idx = np.searchsorted(labels, pairs[:, 0])
+    known = idx < n
+    known[known] = labels[idx[known]] == pairs[known, 0]
+    rows = np.flatnonzero(known)
+    # a known row repeats a node when it is not that node's first row
+    _, first = np.unique(idx[rows], return_index=True)
+    offending = ~known
+    offending[rows] = True
+    offending[rows[first]] = False
+    if offending.any():
+        row = int(np.argmax(offending))
+        node_label = int(pairs[row, 0])
+        if not known[row]:
             raise GraphFormatError(
                 f"{path}: clustering mentions unknown node {node_label}"
             )
-        if seen[i]:
-            raise GraphFormatError(
-                f"{path}: node {node_label} assigned more than once"
-            )
-        seen[i] = True
-        assignment[i] = cluster_id
+        raise GraphFormatError(
+            f"{path}: node {node_label} assigned more than once"
+        )
+    assignment = np.full(n, -1, dtype=np.int64)
+    assignment[idx] = pairs[:, 1]
+    seen = np.zeros(n, dtype=bool)
+    seen[idx] = True
     if not seen.all():
         missing = int(labels[int(np.flatnonzero(~seen)[0])])
         raise GraphFormatError(f"{path}: node {missing} missing from clustering")

@@ -106,10 +106,21 @@ def degree_weights(edges, n: int) -> np.ndarray:
                        minlength=n).astype(np.float64)
 
 
-def _draw(rng, cumw, nodes, k):
-    """k weighted draws from a block. cumw is the cumulative weight vector."""
-    total = cumw[-1]
-    return nodes[np.searchsorted(cumw, rng.random(k) * total, side="right")]
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser: a bijective bit avalanche on uint64 values."""
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def _hash(key, x: np.ndarray) -> np.ndarray:
+    """Keyed counter hash mix(key ^ mix(x)): a bijection of x for each key."""
+    return _mix64(key ^ _mix64(x))
 
 
 def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
@@ -119,16 +130,23 @@ def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
     Returns the placed edges as a canonical (u < v, lexicographically
     sorted) int64 array, and the report.
 
-    Every coordinate gets its own RNG stream derived from (seed, index),
-    so the draw for one coordinate never depends on any other and the
-    output is identical no matter how coordinates are scheduled. Each
-    demanded edge gets at most MAX_RETRIES redraws before it is dropped
-    and counted as shortfall. A block whose weights sum to zero falls
-    back to uniform endpoints.
+    Every uniform is the top 53 bits of a counter-based hash of (seed,
+    coordinate index, round, draw index, endpoint side), so the draw for
+    one coordinate never depends on any other and the output is identical
+    no matter how coordinates are scheduled. An endpoint is one
+    searchsorted of the uniform, scaled to its block's weight range, in
+    the cumulative weights of all nodes grouped by block. Each round
+    draws every still-short coordinate's missing edges at once; self-loops
+    and edges the coordinate already holds are rejected, and after
+    MAX_RETRIES redraw rounds what is still missing is counted as
+    shortfall. A block whose weights sum to zero falls back to uniform
+    endpoints.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if len(weights) != c.n:
         raise ValueError("weights length must match node count")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must be an unsigned 64-bit integer")
     ids = c.cluster_ids
     lookup = np.searchsorted(ids, bm.block_ids)
     bad = (lookup >= len(ids)) | (ids[np.minimum(lookup, len(ids) - 1)] != bm.block_ids) \
@@ -138,65 +156,67 @@ def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
             f"block id {int(bm.block_ids[int(np.flatnonzero(bad)[0])])} has no members"
         )
 
-    members: dict[int, np.ndarray] = {}
-    cumws: dict[int, np.ndarray] = {}
+    # nodes grouped by cluster; cluster k is the contiguous run start[k]:stop[k]
+    order, bounds = c.grouped
+    start, stop = bounds[:-1], bounds[1:]
+    size = stop - start
+    owner = np.repeat(np.arange(len(size)), size)
+    w = weights[order]
+    w = np.where((np.bincount(owner, weights=w, minlength=len(size)) <= 0)[owner], 1.0, w)
+    # one running sum over all clusters; degree weights are integers, so
+    # every cluster's range (base, base + total] is exact
+    cum = np.cumsum(w)
+    base = np.concatenate(([0.0], cum))[start]
+    total = cum[stop - 1] - base
+    positive = np.flatnonzero(w > 0)
+    # the last positive-weight position of each cluster: a pick rounded up
+    # past the cluster's range lands there, never on a zero-weight node
+    last = positive[np.searchsorted(positive, stop) - 1]
 
-    def block(bi: int):
-        if bi not in members:
-            nodes = c.members(int(bm.block_ids[bi]))
-            w = weights[nodes]
-            if w.sum() <= 0:
-                w = np.ones(len(nodes), dtype=np.float64)
-            members[bi] = nodes
-            cumws[bi] = np.cumsum(w)
-        return members[bi], cumws[bi]
+    def pick(k, u):
+        at = np.searchsorted(cum, base[k] + u * total[k], side="right")
+        return order[np.minimum(at, last[k])]
 
-    placed: list[tuple[int, int]] = []
-    shortfall = np.zeros(len(bm), dtype=np.int64)
-    lonely_blocks = 0
+    kr, ks = lookup[bm.r], lookup[bm.s]
+    counts = np.asarray(bm.counts, dtype=np.int64)
+    live = counts > 0
+    lonely = live & (kr == ks) & (size[kr] == 1)
+    forced = live & (kr != ks) & (size[kr] == 1) & (size[ks] == 1)
+    need = np.where(live & ~lonely & ~forced, counts, 0)
 
-    for i in range(len(bm)):
-        r = int(bm.r[i])
-        s = int(bm.s[i])
-        cnt = int(bm.counts[i])
-        if cnt <= 0:
-            continue
-        nodes_r, cum_r = block(r)
-        if r == s and len(nodes_r) == 1:
-            # a single node cannot host intra-block edges
-            shortfall[i] = cnt
-            lonely_blocks += 1
-            continue
-        if r != s:
-            nodes_s, cum_s = block(s)
-            if len(nodes_r) == 1 and len(nodes_s) == 1:
-                u, v = int(nodes_r[0]), int(nodes_s[0])
-                placed.append((u, v) if u < v else (v, u))
-                shortfall[i] = cnt - 1
-                continue
-        else:
-            nodes_s, cum_s = nodes_r, cum_r
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-        )
-        seen: set[tuple[int, int]] = set()
-        need = cnt
-        for _ in range(MAX_RETRIES + 1):
-            if need == 0:
-                break
-            du = _draw(rng, cum_r, nodes_r, need)
-            dv = _draw(rng, cum_s, nodes_s, need)
-            for u, v in zip(du.tolist(), dv.tolist()):
-                if u == v:
-                    continue
-                key = (u, v) if u < v else (v, u)
-                if key in seen:
-                    continue
-                seen.add(key)
-            need = cnt - len(seen)
-        placed.extend(seen)
-        shortfall[i] = need
+    n = c.n
+    fu, fv = order[start[kr[forced]]], order[start[ks[forced]]]
+    keys = np.minimum(fu, fv) * n + np.maximum(fu, fv)
+    owners = np.flatnonzero(forced)
+    ends = np.column_stack([kr, ks])
+    stream = _hash(_mix64(np.uint64(seed)), np.arange(len(bm), dtype=np.uint64))
+    side = np.arange(2, dtype=np.uint64)
+    for rnd in range(MAX_RETRIES + 1):
+        short = np.flatnonzero(need)
+        if not len(short):
+            break
+        k = need[short]
+        coord = np.repeat(short, k)
+        draw = np.arange(len(coord)) - np.repeat(np.cumsum(k) - k, k)
+        # counter bits: round from bit 40 up, draw index, endpoint side in bit 0
+        ctr = (np.uint64(rnd) << np.uint64(40)) | (draw.astype(np.uint64) << np.uint64(1))
+        bits = _hash(stream[coord, None], ctr[:, None] | side)
+        uv = pick(ends[coord], (bits >> np.uint64(11)) * 2.0 ** -53)
+        ok = uv[:, 0] != uv[:, 1]
+        cand = uv.min(axis=1)[ok] * n + uv.max(axis=1)[ok]
+        # a node pair fixes its block pair, so keys never collide across
+        # coordinates and one dedupe against the edges the short
+        # coordinates already hold is the per-coordinate dedupe
+        held = keys[need[owners] > 0]
+        _, first = np.unique(np.concatenate([held, cand]), return_index=True)
+        fresh = first[first >= len(held)] - len(held)
+        keys = np.concatenate([keys, cand[fresh]])
+        got = coord[ok][fresh]
+        owners = np.concatenate([owners, got])
+        need -= np.bincount(got, minlength=len(bm))
 
+    shortfall = need + np.where(lonely, counts, 0) + np.where(forced, counts - 1, 0)
+    lonely_blocks = int(lonely.sum())
     if lonely_blocks:
         log.warning("%d single-node blocks demanded intra edges; dropped", lonely_blocks)
     total_short = int(shortfall.sum())
@@ -205,12 +225,10 @@ def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
                  total_short, bm.total_edges)
     report = SampleReport(
         requested=bm.total_edges,
-        placed=len(placed),
+        placed=len(keys),
         shortfall=total_short,
         coordinate_shortfall=shortfall,
         single_node_intra_blocks=lonely_blocks,
     )
-    # coordinates are disjoint block pairs, so the placed edges are unique
-    arr = np.array(placed, dtype=np.int64).reshape(-1, 2)
-    keys = np.sort(arr[:, 0] * c.n + arr[:, 1])
-    return np.column_stack([keys // c.n, keys % c.n]), report
+    keys = np.sort(keys)
+    return np.column_stack([keys // n, keys % n]), report

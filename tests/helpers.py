@@ -14,6 +14,7 @@ import networkx as nx
 import numpy as np
 
 from synnetgen import Clustering, build_csr
+from synnetgen.sbm import MAX_RETRIES, SampleReport
 
 
 # ===== Random graph builders =====
@@ -204,6 +205,61 @@ def block_tally_oracle(edges, assignment):
             r, s = s, r
         tally[(int(r), int(s))] += 1
     return dict(tally)
+
+
+def reference_sample_dcsbm(bm, c, weights, seed):
+    """The DC-SBM sampler written as a loop over block coordinates.
+
+    Same contract as sample_dcsbm (self-loop rejection, per-coordinate
+    dedupe, MAX_RETRIES redraw rounds, the single-node rules and the
+    uniform fallback), but each coordinate draws from its own numpy
+    Generator, so the two agree in distribution, not in bytes.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+
+    def block(bi):
+        nodes = c.members(int(bm.block_ids[bi]))
+        w = weights[nodes]
+        return nodes, np.cumsum(w if w.sum() > 0 else np.ones(len(nodes)))
+
+    def draw(rng, nodes, cumw, k):
+        return nodes[np.searchsorted(cumw, rng.random(k) * cumw[-1], side="right")]
+
+    placed = []
+    shortfall = np.zeros(len(bm), dtype=np.int64)
+    lonely = 0
+    for i in range(len(bm)):
+        r, s, cnt = int(bm.r[i]), int(bm.s[i]), int(bm.counts[i])
+        if cnt <= 0:
+            continue
+        nodes_r, cum_r = block(r)
+        nodes_s, cum_s = block(s)
+        if r == s and len(nodes_r) == 1:
+            shortfall[i] = cnt
+            lonely += 1
+            continue
+        if r != s and len(nodes_r) == 1 and len(nodes_s) == 1:
+            u, v = int(nodes_r[0]), int(nodes_s[0])
+            placed.append((min(u, v), max(u, v)))
+            shortfall[i] = cnt - 1
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        seen = set()
+        need = cnt
+        for _ in range(MAX_RETRIES + 1):
+            if need == 0:
+                break
+            du = draw(rng, nodes_r, cum_r, need)
+            dv = draw(rng, nodes_s, cum_s, need)
+            seen.update((min(u, v), max(u, v))
+                        for u, v in zip(du.tolist(), dv.tolist()) if u != v)
+            need = cnt - len(seen)
+        placed.extend(seen)
+        shortfall[i] = need
+    report = SampleReport(requested=bm.total_edges, placed=len(placed),
+                          shortfall=int(shortfall.sum()), coordinate_shortfall=shortfall,
+                          single_node_intra_blocks=lonely)
+    return np.array(sorted(placed), dtype=np.int64).reshape(-1, 2), report
 
 
 def nmi_oracle(a, b):

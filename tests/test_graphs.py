@@ -200,6 +200,23 @@ def test_load_clustering_and_errors(tmp_path):
         load_clustering(p, labels)
 
 
+def test_load_clustering_names_the_earlier_offending_line(tmp_path):
+    labels = np.array([5, 10, 20])
+    p = tmp_path / "c.tsv"
+    p.write_text("10 1\n99 2\n10 2\n5 1\n20 2\n")
+    with pytest.raises(GraphFormatError, match="unknown node 99"):
+        load_clustering(p, labels)
+
+    p.write_text("10 1\n10 2\n99 2\n5 1\n20 2\n")
+    with pytest.raises(GraphFormatError, match="node 10 assigned more than once"):
+        load_clustering(p, labels)
+
+    # a repeat of an unknown node is reported as unknown, at its first line
+    p.write_text("5 1\n7 1\n7 1\n10 1\n20 2\n")
+    with pytest.raises(GraphFormatError, match="unknown node 7"):
+        load_clustering(p, labels)
+
+
 def test_clustering_round_trip(tmp_path):
     labels = np.array([3, 6, 8, 11])
     c = Clustering([2, 0, 2, 5])

@@ -7,9 +7,15 @@ from synnetgen import (
     build_block_matrix,
     degree_weights,
     sample_dcsbm,
+    sbm,
 )
 
-from helpers import block_tally_oracle, random_clustering, random_edge_array
+from helpers import (
+    block_tally_oracle,
+    random_clustering,
+    random_edge_array,
+    reference_sample_dcsbm,
+)
 
 
 def bm_as_dict(bm):
@@ -256,3 +262,78 @@ def test_weighted_endpoint_frequencies():
     expect = n_trials * p
     sigma = np.sqrt(n_trials * p * (1 - p))
     assert np.all(np.abs(tally[1:] - expect) <= 3 * sigma), (tally, expect)
+
+
+def _redraw_reference():
+    """Three blocks, four coordinates: a near-saturated skewed intra block
+    (13 of 15 pairs), its pair with block 1, block 1 (which holds a
+    zero-weight node) and block 1's pair with the one-node block 2."""
+    c = Clustering([0] * 6 + [1] * 4 + [2])
+    w = np.array([5.0, 4.0, 3.0, 2.0, 1.0, 1.0, 1.0, 2.0, 3.0, 0.0, 1.0])
+    bm = BlockMatrix(
+        block_ids=np.array([0, 1, 2]),
+        r=np.array([0, 0, 1, 1]),
+        s=np.array([0, 1, 1, 2]),
+        counts=np.array([13, 5, 3, 2]),
+    )
+    return bm, c, w
+
+
+def test_distribution_matches_coordinate_loop_sampler():
+    """Per-node endpoint frequencies and the mean shortfall agree with the
+    per-coordinate Generator sampler within 4 sigma over 2000 seeds."""
+    bm, c, w = _redraw_reference()
+    n_seeds = 2000
+    runs = {}
+    for name, sampler in (("hash", sample_dcsbm), ("loop", reference_sample_dcsbm)):
+        degrees = np.zeros((n_seeds, c.n))
+        short = np.zeros(n_seeds)
+        for seed in range(n_seeds):
+            edges, report = sampler(bm, c, w, seed)
+            degrees[seed] = np.bincount(edges.ravel(), minlength=c.n)
+            short[seed] = report.shortfall
+        runs[name] = np.column_stack([degrees, short])
+    assert runs["hash"][:, -1].max() > 0, "the reference never needed a redraw past the cap"
+    diff = runs["hash"].mean(axis=0) - runs["loop"].mean(axis=0)
+    sigma = np.sqrt((runs["hash"].var(axis=0) + runs["loop"].var(axis=0)) / n_seeds)
+    assert np.all(np.abs(diff) <= 4 * sigma), (diff, sigma)
+
+
+def test_sampler_builds_no_generator(monkeypatch):
+    bm, c, w = _redraw_reference()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sample_dcsbm built a numpy random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    edges, report = sample_dcsbm(bm, c, w, seed=3)
+    assert report.placed == len(edges) > 0
+
+
+def test_pick_rounded_past_its_block_stays_on_a_positive_weight_node(monkeypatch):
+    # every uniform is 1 - 2**-53: block 1 spans cumulative weights (1, 3],
+    # and 1 + u * 2 rounds up to 3, the right end of block 1, where the
+    # zero-weight node 3 sits just before block 2's first node 4
+    c = Clustering([0, 1, 1, 1, 2, 2])
+    w = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+    bm = BlockMatrix(block_ids=np.array([0, 1, 2]), r=np.array([0]),
+                     s=np.array([1]), counts=np.array([1]))
+    monkeypatch.setattr(sbm, "_hash",
+                        lambda key, x: np.full(np.broadcast(key, x).shape,
+                                               2**64 - 1, dtype=np.uint64))
+    edges, report = sample_dcsbm(bm, c, w, seed=0)
+    assert edges.tolist() == [[0, 2]]
+    assert report.shortfall == 0
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seed_outside_uint64_rejected(seed):
+    bm = BlockMatrix(
+        block_ids=np.array([0]),
+        r=np.array([0]),
+        s=np.array([0]),
+        counts=np.array([1]),
+    )
+    with pytest.raises(ValueError, match="seed"):
+        sample_dcsbm(bm, Clustering([0, 0]), np.ones(2), seed=seed)
