@@ -12,7 +12,7 @@ from .graphs import (
     write_clustering,
     write_edge_list,
 )
-from .mincut import MinCutResult, global_min_cut, min_cut_of_edges
+from .mincut import global_min_cut, min_cut_of_edges
 from .splitting import SplitResult, split
 from .cluster_stats import ClusterStats, compute_stats
 from .sbm import BlockMatrix, build_block_matrix, degree_weights, sample_dcsbm
@@ -21,7 +21,6 @@ from .repair import (
     VARIANT_PP,
     ClusterWork,
     match_degrees_global,
-    match_degrees_per_cluster,
     process_cluster,
 )
 from .pipeline import (
@@ -40,7 +39,6 @@ from .metrics import (
     ari,
     compare_networks,
     compute_network_stats,
-    frobenius_diff,
     nmi,
     relative_difference,
     rmse,

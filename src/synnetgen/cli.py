@@ -37,12 +37,20 @@ EXIT_PIPELINE = 3
 log = logging.getLogger(__name__)
 
 
+def _seed(text: str) -> int:
+    """The --seed type: a non-negative integer; argparse exits 2 on anything else."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return value
+
+
 def _add_generate(sub):
     p = sub.add_parser("generate", help="generate a synthetic network")
     p.add_argument("--network", required=True, type=Path)
     p.add_argument("--clustering", required=True, type=Path)
     p.add_argument("--variant", choices=list(rp.VARIANTS), default=rp.VARIANT_PP)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-dir", required=True, type=Path)
     p.add_argument("--stats-file", type=Path, default=None,
@@ -156,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run both variants from one seed and shared draws")
     p.add_argument("--network", required=True, type=Path)
     p.add_argument("--clustering", required=True, type=Path)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-dir", required=True, type=Path)
     p.add_argument("--stats-file", type=Path, default=None)

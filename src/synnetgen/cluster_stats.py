@@ -59,9 +59,8 @@ def cluster_edge_tables(g: CsrGraph, c: Clustering):
 
 def _stats_task(task) -> ClusterStats:
     cid, size, local_edges = task
-    cut = min_cut_of_edges(size, local_edges)
     return ClusterStats(cluster_id=cid, n=size, m=int(len(local_edges)),
-                        mincut=cut.value)
+                        mincut=min_cut_of_edges(size, local_edges))
 
 
 def compute_stats(g: CsrGraph, c: Clustering, workers: int = 1) -> dict[int, ClusterStats]:
@@ -100,7 +99,10 @@ def write_stats_csv(stats: dict[int, ClusterStats], path) -> None:
 
 
 def read_stats_csv(path) -> dict[int, ClusterStats]:
-    """Read a stats CSV written by write_stats_csv (or produced upstream)."""
+    """Read a stats CSV written by write_stats_csv (or produced upstream).
+
+    A cluster may have one row only.
+    """
     path = Path(path)
     if not path.exists():
         raise GraphFormatError(f"{path}: file not found")
@@ -119,15 +121,26 @@ def read_stats_csv(path) -> dict[int, ClusterStats]:
                 cid, n, m, cut = (int(x) for x in row)
             except ValueError:
                 raise GraphFormatError(f"{path}: row {row_no}: non-integer value")
+            if cid in out:
+                raise GraphFormatError(f"{path}: row {row_no}: cluster {cid} repeated")
             out[cid] = ClusterStats(cluster_id=cid, n=n, m=m, mincut=cut)
     return out
 
 
 def validate_stats_cover(stats: dict[int, ClusterStats], c: Clustering) -> None:
-    """Ensure injected stats cover every multi-node cluster of c."""
-    missing = [int(cid) for cid in c.multi_cluster_ids if int(cid) not in stats]
-    if missing:
-        raise GraphFormatError(
-            f"stats file missing clusters: {missing[:10]}"
-            + (" ..." if len(missing) > 10 else "")
-        )
+    """Ensure injected stats cover every multi-node cluster of c, each row
+    with n equal to the cluster's member count."""
+    _, bounds = c.grouped
+    sizes = np.diff(bounds)
+    multi = sizes > 1
+    missing, wrong_n = [], []
+    for cid, size in zip(c.cluster_ids[multi].tolist(), sizes[multi].tolist()):
+        if cid not in stats:
+            missing.append(cid)
+        elif stats[cid].n != size:
+            wrong_n.append(cid)
+    for what, ids in (("missing clusters", missing),
+                      ("n differs from the member count of clusters", wrong_n)):
+        if ids:
+            raise GraphFormatError(f"stats file {what}: {ids[:10]}"
+                                   + (" ..." if len(ids) > 10 else ""))

@@ -91,14 +91,6 @@ class CsrGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.cols[self.offsets[u]:self.offsets[u + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        i = np.searchsorted(nb, v)
-        return i < len(nb) and nb[i] == v
-
     def edge_array(self) -> np.ndarray:
         """Canonical (m, 2) edge array, u < v, lexicographically sorted."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
@@ -156,11 +148,6 @@ class Clustering:
         return self._ids
 
     @property
-    def node_sizes(self) -> np.ndarray:
-        """Size of each node's own cluster."""
-        return self._node_sizes
-
-    @property
     def clustered_mask(self) -> np.ndarray:
         return self._node_sizes > 1
 
@@ -179,9 +166,6 @@ class Clustering:
         and ascending within a cluster, so the members of cluster_ids[k]
         are order[bounds[k]:bounds[k + 1]]."""
         return self._order, self._bounds
-
-    def size_of(self, cluster_id: int) -> int:
-        return int(self._counts[self._index(cluster_id)])
 
     def members(self, cluster_id: int) -> np.ndarray:
         """Member node ids of a cluster, ascending."""

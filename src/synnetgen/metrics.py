@@ -2,8 +2,7 @@
 
 Three scalar comparisons (absolute difference, relative difference, root
 mean squared error over aligned sequences) applied to eight network
-statistics, plus clustering agreement scores (NMI, ARI) and a Frobenius
-distance between adjacency matrices for small fixtures.
+statistics, plus clustering agreement scores (NMI, ARI).
 """
 
 from __future__ import annotations
@@ -58,15 +57,6 @@ def rmse(a, b) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def frobenius_diff(a, b) -> float:
-    """Frobenius norm of the entrywise difference of two matrices."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
 # ===== Per-network statistics =====
 
 
@@ -81,14 +71,12 @@ def _triangles_per_node(g: CsrGraph) -> np.ndarray:
     return np.asarray(common.sum(axis=1)).ravel() / 2.0
 
 
-def clustering_coefficients(g: CsrGraph, count_low_degree_as_zero: bool = True
-                            ) -> tuple[float, float]:
+def clustering_coefficients(g: CsrGraph) -> tuple[float, float]:
     """(mean local coefficient, global coefficient).
 
-    Local coefficient of a node with degree < 2 counts as 0 in the mean by
-    default; pass False to exclude those nodes from the mean instead. The
-    global coefficient is 3 * triangles / wedges (0 when there are no
-    wedges).
+    The local coefficient of a node with degree < 2 counts as 0 in the
+    mean. The global coefficient is 3 * triangles / wedges (0 when there
+    are no wedges).
     """
     deg = g.degrees.astype(np.float64)
     tri = _triangles_per_node(g)
@@ -96,10 +84,7 @@ def clustering_coefficients(g: CsrGraph, count_low_degree_as_zero: bool = True
     eligible = deg >= 2
     local = np.zeros(g.n, dtype=np.float64)
     local[eligible] = tri[eligible] / pairs[eligible]
-    if count_low_degree_as_zero:
-        mean_local = float(local.mean()) if g.n else 0.0
-    else:
-        mean_local = float(local[eligible].mean()) if eligible.any() else 0.0
+    mean_local = float(local.mean()) if g.n else 0.0
     wedges = float(pairs.sum())
     total_tri = float(tri.sum()) / 3.0
     global_coeff = 3.0 * total_tri / wedges if wedges > 0 else 0.0
@@ -141,13 +126,12 @@ def _bounding_diameters(g: CsrGraph, nodes: np.ndarray) -> int:
     return d_lo
 
 
-def diameter_largest_component(g: CsrGraph, guard: int = DIAMETER_GUARD
-                               ) -> tuple[int, bool]:
+def diameter_largest_component(g: CsrGraph) -> tuple[int, bool]:
     """Diameter of the largest connected component.
 
     Exact, from per-node eccentricity bounds that a few breadth-first
     searches tighten until the diameter's lower and upper bounds meet
-    (see _bounding_diameters). Components above the guard get a
+    (see _bounding_diameters). Components above DIAMETER_GUARD nodes get a
     double-sweep lower bound instead; the second return value says
     whether the figure is exact.
     """
@@ -159,12 +143,12 @@ def diameter_largest_component(g: CsrGraph, guard: int = DIAMETER_GUARD
     nodes = np.flatnonzero(labels == comp)
     if len(nodes) == 1:
         return 0, True
-    if len(nodes) > guard:
+    if len(nodes) > DIAMETER_GUARD:
         # argmax: the smallest id on the last BFS level
         far = int(np.argmax(bfs_distances(g, int(nodes[0]))))
         ecc = int(bfs_distances(g, far).max())
         log.warning("component of %d nodes exceeds diameter guard %d; "
-                    "reporting double-sweep lower bound", len(nodes), guard)
+                    "reporting double-sweep lower bound", len(nodes), DIAMETER_GUARD)
         return ecc, False
     return _bounding_diameters(g, nodes), True
 
@@ -205,7 +189,7 @@ def outlier_clustered_edge_count(g: CsrGraph, c: Clustering) -> int:
 
 def cluster_mincut_map(g: CsrGraph, c: Clustering) -> dict[int, int]:
     """Exact min cut of every multi-node cluster's induced subgraph."""
-    return {cid: global_min_cut(build_csr(local, len(members))).value
+    return {cid: global_min_cut(build_csr(local, len(members)))
             for cid, members, local in _local_edge_groups(g.edge_array(), c)}
 
 
@@ -260,21 +244,12 @@ class MetricEntry:
     value: float
     note: str = ""
 
-    def defined(self) -> bool:
-        return not math.isnan(self.value)
-
 
 @dataclass
 class MetricReport:
     entries: list = field(default_factory=list)
     alignment: str = ALIGN_IDENTITY
     mixing_mode: str = MIXING_EDGE_FRACTION
-
-    def value(self, stat: str) -> float:
-        for e in self.entries:
-            if e.stat == stat:
-                return e.value
-        raise KeyError(stat)
 
     def to_dict(self) -> dict:
         return {

@@ -1,22 +1,22 @@
 """Exact global minimum edge cut.
 
-Stoer-Wagner over a dense weight matrix. Intended cluster sizes are a few
-thousand nodes at most; a size guard refuses anything larger instead of
-silently approximating. One cut on n nodes holds about three n x n int64
-matrices at once (the adjacency, its working copy and a phase's active
-submatrix), so the default guard of 8,192 nodes bounds a cut at three
-512 MiB matrices.
+Stoer-Wagner over a dense weight matrix. global_min_cut and
+min_cut_of_edges return the cut value only, which is all that cluster
+stats and eval read; repair calls stoer_wagner_dense itself for the side
+it adds an edge across. Intended cluster sizes are a few thousand nodes at
+most; a size guard refuses anything larger instead of silently
+approximating. One cut on n nodes holds about three n x n int64 matrices
+at once (the adjacency, its working copy and a phase's active submatrix),
+so the guard of 8,192 nodes bounds a cut at three 512 MiB matrices.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import CsrGraph, bfs_distances, build_csr
 
-DEFAULT_SIZE_GUARD = 8_192
+SIZE_GUARD = 8_192
 
 # key of a node already in the phase's added set; later row additions
 # (at most the total edge weight) keep it below every real weight
@@ -27,16 +27,10 @@ class MinCutSizeError(RuntimeError):
     """Input exceeds the exact-cut size guard."""
 
 
-def check_size(n: int, size_guard: int = DEFAULT_SIZE_GUARD) -> None:
-    """Raise MinCutSizeError if an exact cut on n nodes exceeds the guard."""
-    if n > size_guard:
-        raise MinCutSizeError(f"{n} nodes exceeds exact min cut guard {size_guard}")
-
-
-@dataclass(frozen=True)
-class MinCutResult:
-    value: int
-    side: np.ndarray  # sorted node ids of one side of the cut
+def check_size(n: int) -> None:
+    """Raise MinCutSizeError if an exact cut on n nodes exceeds SIZE_GUARD."""
+    if n > SIZE_GUARD:
+        raise MinCutSizeError(f"{n} nodes exceeds exact min cut guard {SIZE_GUARD}")
 
 
 def stoer_wagner_dense(w: np.ndarray) -> tuple[int, list[int]]:
@@ -93,28 +87,23 @@ def dense_adjacency(n: int, edges) -> np.ndarray:
     return w
 
 
-def global_min_cut(g: CsrGraph, size_guard: int = DEFAULT_SIZE_GUARD) -> MinCutResult:
-    """Exact global minimum edge cut of a CsrGraph; see min_cut_of_edges."""
-    return _min_cut(g, g.edge_array(), size_guard)
+def global_min_cut(g: CsrGraph) -> int:
+    """Exact global minimum edge cut value of a CsrGraph; see min_cut_of_edges."""
+    return _min_cut(g, g.edge_array())
 
 
-def min_cut_of_edges(n: int, edges, size_guard: int = DEFAULT_SIZE_GUARD) -> MinCutResult:
-    """Exact min cut of a graph given by node count and an (m, 2) edge array.
+def min_cut_of_edges(n: int, edges) -> int:
+    """Exact min cut value of a graph given by node count and an (m, 2) edge array.
 
-    Graphs with fewer than two nodes have cut 0 and an empty side; a
-    disconnected graph has cut 0 with node 0's component as the side.
+    Graphs with fewer than two nodes, and disconnected graphs, have cut 0.
     """
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return _min_cut(build_csr(arr, n), arr, size_guard)
+    return _min_cut(build_csr(arr, n), arr)
 
 
-def _min_cut(g: CsrGraph, arr: np.ndarray, size_guard: int) -> MinCutResult:
-    """Min cut of g, whose canonical edge array is arr."""
-    check_size(g.n, size_guard)
-    if g.n <= 1:
-        return MinCutResult(0, np.empty(0, dtype=np.int64))
-    reached = bfs_distances(g, 0) >= 0
-    if not reached.all():
-        return MinCutResult(0, np.flatnonzero(reached))
-    value, side = stoer_wagner_dense(dense_adjacency(g.n, arr))
-    return MinCutResult(value, np.array(side, dtype=np.int64))
+def _min_cut(g: CsrGraph, arr: np.ndarray) -> int:
+    """Min cut value of g, whose canonical edge array is arr."""
+    check_size(g.n)
+    if g.n <= 1 or (bfs_distances(g, 0) < 0).any():
+        return 0
+    return stoer_wagner_dense(dense_adjacency(g.n, arr))[0]

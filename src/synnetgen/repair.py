@@ -64,9 +64,6 @@ class RepairOutcome:
     residual: dict = field(default_factory=dict)  # local node -> unmet deficit
     warnings: list = field(default_factory=list)
 
-    def added_count(self) -> int:
-        return sum(len(v) for v in self.added.values())
-
 
 class _LocalGraph:
     """Mutable adjacency of one cluster, built from a local edge array.
@@ -317,11 +314,6 @@ def _match_within(lg: _LocalGraph, item: ClusterWork) -> tuple[list, dict]:
         is_adjacent=lambda u, v: v in lg.adj[u],
         add_edge=lg.add,
     )
-
-
-def match_degrees_per_cluster(item: ClusterWork) -> tuple[list, dict]:
-    """Degree matching allowed to add intra-cluster edges only."""
-    return _match_within(_LocalGraph(len(item.members), item.edges), item)
 
 
 def match_degrees_global(edges: np.ndarray, deficits: np.ndarray) -> tuple[list, dict]:

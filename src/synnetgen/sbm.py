@@ -2,15 +2,15 @@
 
 The block matrix is a sparse upper-triangular tally of how many edges run
 between each pair of clusters (diagonal = intra-cluster count, stored
-once, not doubled). Sampling re-places exactly those per-pair counts,
-drawing endpoints inside each cluster proportionally to a per-node weight
-(reference degrees in practice), with bounded rejection of self-loops and
+once, not doubled), counted by one np.unique over packed pair keys.
+Sampling re-places exactly those per-pair counts, drawing endpoints
+inside each cluster proportionally to a per-node weight (reference
+degrees in practice), with bounded rejection of self-loops and
 duplicates.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -20,7 +20,6 @@ from .graphs import Clustering
 
 log = logging.getLogger(__name__)
 
-DEFAULT_CHUNK_SIZE = 1 << 16
 MAX_RETRIES = 30  # redraws per demanded edge before it counts as shortfall
 
 
@@ -45,46 +44,17 @@ class BlockMatrix:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "s", "count"])
-            for r, s, cnt in zip(self.r.tolist(), self.s.tolist(),
-                                 self.counts.tolist()):
-                writer.writerow([int(self.block_ids[r]), int(self.block_ids[s]), cnt])
 
-
-def build_block_matrix(edges, c: Clustering,
-                       chunk_size: int = DEFAULT_CHUNK_SIZE) -> BlockMatrix:
-    """Tally edges into cluster-pair coordinates.
-
-    Edges are processed in fixed-size chunks whose partial tallies are
-    merged by coordinate, so the result is identical for any chunk size.
-    """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
+def build_block_matrix(edges, c: Clustering) -> BlockMatrix:
+    """Tally edges into cluster-pair coordinates, sorted by (r, s)."""
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     ids = c.cluster_ids
     b = len(ids)
     bidx = np.searchsorted(ids, c.assignment)
-
-    def tally(chunk):
-        cu = bidx[chunk[:, 0]]
-        cv = bidx[chunk[:, 1]]
-        lo = np.minimum(cu, cv)
-        hi = np.maximum(cu, cv)
-        keys, counts = np.unique(lo * b + hi, return_counts=True)
-        return keys, counts
-
-    parts = [tally(arr[i:i + chunk_size]) for i in range(0, len(arr), chunk_size)]
-    if parts:
-        all_keys = np.concatenate([p[0] for p in parts])
-        all_counts = np.concatenate([p[1] for p in parts])
-        keys, inverse = np.unique(all_keys, return_inverse=True)
-        counts = np.bincount(inverse, weights=all_counts).astype(np.int64)
-    else:
-        keys = np.empty(0, dtype=np.int64)
-        counts = np.empty(0, dtype=np.int64)
+    cu = bidx[arr[:, 0]]
+    cv = bidx[arr[:, 1]]
+    keys, counts = np.unique(np.minimum(cu, cv) * b + np.maximum(cu, cv),
+                             return_counts=True)
     return BlockMatrix(block_ids=ids, r=keys // b if b else keys,
                        s=keys % b if b else keys, counts=counts)
 

@@ -157,13 +157,10 @@ def triangle_oracle(n, edges):
     return tri, wedges
 
 
-def local_coefficient_oracle(n, edges, count_low_degree_as_zero=True):
+def local_coefficient_oracle(n, edges):
     tri, wedges = triangle_oracle(n, edges)
     vals = [t / w if w > 0 else 0.0 for t, w in zip(tri, wedges)]
-    if count_low_degree_as_zero:
-        return sum(vals) / n if n else 0.0
-    eligible = [v for v, w in zip(vals, wedges) if w > 0]
-    return sum(eligible) / len(eligible) if eligible else 0.0
+    return sum(vals) / n if n else 0.0
 
 
 def global_coefficient_oracle(n, edges):
@@ -328,7 +325,7 @@ def structural_violations(g_out, c, stats):
             continue
         inside = np.isin(arr, members).all(axis=1)
         sub = build_csr(np.searchsorted(members, arr[inside]), size)
-        cut = global_min_cut(sub).value
+        cut = global_min_cut(sub)
         need_cut = max(1, min(s.mincut, size - 1))
         if cut < need_cut:
             bad.append(f"cluster {cid}: cut {cut} < {need_cut}")

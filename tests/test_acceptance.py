@@ -23,9 +23,7 @@ from synnetgen import (
     build_block_matrix,
     build_csr,
     compute_stats,
-    frobenius_diff,
     global_min_cut,
-    match_degrees_per_cluster,
     nmi,
     relative_difference,
     rmse,
@@ -35,6 +33,7 @@ from synnetgen import (
     synthesize,
 )
 from synnetgen.metrics import cluster_mincut_map
+from synnetgen.repair import _LocalGraph, _match_within
 
 from helpers import (
     brute_force_min_cut,
@@ -118,7 +117,7 @@ def test_min_cut_exhaustive():
     for _ in range(500):
         n = int(rng.integers(2, 11))
         arr = random_edge_array(rng, n, float(rng.uniform(0.1, 0.9)))
-        got = global_min_cut(build_csr(arr, n)).value
+        got = global_min_cut(build_csr(arr, n))
         want = brute_force_min_cut(n, arr.tolist())
         if got != want:
             bad += 1
@@ -134,7 +133,7 @@ def test_scalar_metrics_extended_precision():
     def ok(got, want):
         return abs(got - want) <= tol * max(1.0, abs(want))
 
-    bad = {"absolute": 0, "relative": 0, "rmse": 0, "frobenius": 0}
+    bad = {"absolute": 0, "relative": 0, "rmse": 0}
     for _ in range(100):
         scale = 10.0 ** rng.integers(-8, 9)
         s, t = (float(x) for x in rng.normal(0, scale, size=2))
@@ -150,13 +149,6 @@ def test_scalar_metrics_extended_precision():
                                  for x, y in zip(a, b)) / k))
         if not ok(rmse(a, b), want):
             bad["rmse"] += 1
-        r = int(rng.integers(1, 16))
-        ma = rng.normal(0, scale, size=(r, r))
-        mb = rng.normal(0, scale, size=(r, r))
-        want = float(mp_sqrt(sum((mpf(x) - mpf(y)) ** 2
-                                 for x, y in zip(ma.flat, mb.flat))))
-        if not ok(frobenius_diff(ma, mb), want):
-            bad["frobenius"] += 1
     report("scalar metrics vs 50-digit oracle (100 instances each)",
            sum(bad.values()) == 0, f"mismatches {bad}, rel tol {tol}")
 
@@ -192,7 +184,7 @@ def test_degree_matching_monotonicity():
             ext_deg=ext,
         )
         before = rmse(ref, deg + ext)
-        added, _ = match_degrees_per_cluster(item)
+        added, _ = _match_within(_LocalGraph(size, item.edges), item)
         after_deg = np.zeros(size, dtype=np.int64)
         for u, v in sorted(edges) + added:
             after_deg[u] += 1
@@ -227,28 +219,16 @@ def test_determinism_across_worker_counts(tmp_path):
            f"both variants, {len(compared)} files compared per run")
 
 
-def test_block_matrix_conservation_and_chunk_invariance():
+def test_block_matrix_conservation():
     rng = np.random.default_rng(7060)
     bad = 0
     for _ in range(50):
         n = int(rng.integers(2, 150))
         arr = random_edge_array(rng, n, float(rng.uniform(0.05, 0.4)))
         c = random_clustering(rng, n, int(rng.integers(1, 12)))
-        views = [
-            build_block_matrix(arr, c, chunk_size=cs) for cs in (1, 7, 1024)
-        ]
-        if any(v.total_edges != len(arr) for v in views):
+        if build_block_matrix(arr, c).total_edges != len(arr):
             bad += 1
-            continue
-        base = views[0]
-        for v in views[1:]:
-            if (v.r.tolist() != base.r.tolist()
-                    or v.s.tolist() != base.s.tolist()
-                    or v.counts.tolist() != base.counts.tolist()):
-                bad += 1
-                break
-    report("block matrix conservation + chunk invariance (50 inputs)",
-           bad == 0, f"{bad} violations across chunk sizes {{1, 7, 1024}}")
+    report("block matrix conservation (50 inputs)", bad == 0, f"{bad} violations")
 
 
 def test_fidelity_ordering():
@@ -273,8 +253,9 @@ def test_fidelity_ordering():
             syn_cuts = cluster_mincut_map(out, c)
             diffs = [syn_cuts[cid] - ref_cuts[cid] for cid in ref_cuts]
             cut_diff[variant].append(float(np.mean(diffs)))
-            deg_rmse[variant] = compare_networks(g, out, c).value(
-                "degree_sequence")
+            deg_rmse[variant] = next(
+                e.value for e in compare_networks(g, out, c).entries
+                if e.stat == "degree_sequence")
         if deg_rmse["plus"] <= deg_rmse["pp"]:
             rmse_wins += 1
     mean_pp = float(np.mean(cut_diff["pp"]))

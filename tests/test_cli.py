@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from synnetgen import Clustering, build_csr, compute_stats
 from synnetgen.cli import main
 from synnetgen.cluster_stats import read_stats_csv, write_stats_csv
 from synnetgen.graphs import load_edge_list
-from synnetgen.mincut import DEFAULT_SIZE_GUARD
+from synnetgen.mincut import SIZE_GUARD
 from synnetgen.pipeline import PipelineError
 
 from helpers import planted_reference, structural_violations, write_network_files
@@ -104,7 +105,7 @@ def test_exit_code_pipeline_error(tmp_path, monkeypatch):
 @pytest.fixture(scope="module")
 def oversized_files(tmp_path_factory):
     """One path cluster a node over the exact min cut's size guard."""
-    n = DEFAULT_SIZE_GUARD + 1
+    n = SIZE_GUARD + 1
     arr = np.column_stack([np.arange(n - 1), np.arange(1, n)])
     return write_network_files(tmp_path_factory.mktemp("oversized"), arr,
                                np.zeros(n, dtype=np.int64))
@@ -129,6 +130,17 @@ def test_missing_required_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["generate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["generate", "compare-versions"])
+def test_negative_seed_exits_two(ref_files, tmp_path, capsys, command):
+    net, clu, _, _ = ref_files
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--network", str(net), "--clustering", str(clu),
+              "--seed", "-1", "--out-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "expected a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_split_command(ref_files, tmp_path):
@@ -178,13 +190,24 @@ def test_stats_file_feeds_generate(ref_files, tmp_path):
 def test_stats_file_missing_cluster_exits_two(ref_files, tmp_path, capsys, command):
     net, clu, arr, assignment = ref_files
     stats = compute_stats(build_csr(arr, len(assignment)), Clustering(assignment))
-    del stats[max(stats)]
+    last = max(stats)
+    s = stats[last]
+    # (rows to write, a line appended after them, the error it must give)
+    cases = [
+        ({cid: t for cid, t in stats.items() if cid != last}, "", "missing clusters"),
+        (stats, f"{last},{s.n},{s.m},{s.mincut}\n", f"cluster {last} repeated"),
+        ({**stats, last: replace(s, n=s.n + 1)}, "",
+         f"n differs from the member count of clusters: [{last}]"),
+    ]
     sf = tmp_path / "stats.csv"
-    write_stats_csv(stats, sf)
-    rc = main([command, "--network", str(net), "--clustering", str(clu),
-               "--out-dir", str(tmp_path / "o"), "--stats-file", str(sf)])
-    assert rc == 2
-    assert "missing clusters" in capsys.readouterr().err
+    for rows, extra, message in cases:
+        write_stats_csv(rows, sf)
+        with open(sf, "a", encoding="utf-8") as fh:
+            fh.write(extra)
+        rc = main([command, "--network", str(net), "--clustering", str(clu),
+                   "--out-dir", str(tmp_path / "o"), "--stats-file", str(sf)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 def test_eval_identity(ref_files, tmp_path):

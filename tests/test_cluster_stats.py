@@ -145,6 +145,9 @@ def test_read_stats_errors(tmp_path):
     p.write_text("cluster,n,m,mincut\n1,2,x,4\n")
     with pytest.raises(GraphFormatError, match="non-integer"):
         read_stats_csv(p)
+    p.write_text("cluster,n,m,mincut\n20,3,3,2\n21,3,2,1\n20,3,3,2\n")
+    with pytest.raises(GraphFormatError, match="row 4: cluster 20 repeated"):
+        read_stats_csv(p)
 
 
 def test_validate_stats_cover():
@@ -152,3 +155,7 @@ def test_validate_stats_cover():
     validate_stats_cover({0: ClusterStats(0, 2, 1, 1), 1: ClusterStats(1, 2, 1, 1)}, c)
     with pytest.raises(GraphFormatError, match="missing clusters: \\[1\\]"):
         validate_stats_cover({0: ClusterStats(0, 2, 1, 1)}, c)
+    # a row for the singleton cluster 2 is never read, so its n is not checked
+    with pytest.raises(GraphFormatError, match="member count of clusters: \\[1\\]"):
+        validate_stats_cover({0: ClusterStats(0, 2, 1, 1), 1: ClusterStats(1, 99, 7, 5),
+                              2: ClusterStats(2, 5, 0, 0)}, c)

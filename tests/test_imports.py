@@ -1,9 +1,14 @@
-"""No module in the package or the test suite imports a name it never uses.
+"""Static scans of the package and the test suite.
 
-A static scan: every name an import statement binds must appear somewhere
-else in the same file, as a name, as the base of an attribute, or inside a
-string annotation. The package's __init__.py re-exports its imports and
-__future__ imports are directives, so neither counts.
+Unused imports: every name an import statement binds must appear
+somewhere else in the same file, as a name, as the base of an attribute,
+or inside a string annotation. The package's __init__.py re-exports its
+imports and __future__ imports are directives, so neither counts.
+
+Unreferenced definitions: every public function, class and method the
+package defines must be used, as a name or an attribute, somewhere in the
+package outside __init__.py. A definition only tests use is not part of
+what the program does, so it goes, except for the allow-listed names.
 """
 
 from __future__ import annotations
@@ -20,6 +25,16 @@ def _annotations(tree: ast.AST):
             yield node.annotation
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node.returns
+
+
+# qualified name -> why it stays although nothing in the package uses it
+ALLOWED_UNREFERENCED = {
+    "nmi": "README documents it, and the paper's fidelity suite reports NMI",
+    "ari": "README documents it, and the paper's fidelity suite reports ARI",
+    "EdgeSet": "perfbench/spans.py hooks EdgeSet.to_array, and test_bench_hooks "
+               "requires every hook to resolve; goes with ROADMAP item 13",
+    "EdgeSet.to_array": "perfbench/spans.py hooks it; goes with ROADMAP item 13",
+}
 
 
 def _used_names(tree: ast.AST) -> set:
@@ -47,6 +62,32 @@ def unused_imports(source: str) -> list:
     return out
 
 
+def _public_definitions(body, prefix=""):
+    """(line, qualified name) of the public defs and classes in a module or
+    class body, and of the public methods of every class in it."""
+    for node in body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.lineno, prefix + node.name
+        if isinstance(node, ast.ClassDef):
+            yield from _public_definitions(node.body, f"{prefix}{node.name}.")
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """(file, line, qualified name) of every public definition in sources
+    (file name -> source text) whose name no file uses as a name or an
+    attribute."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = set()
+    for tree in trees.values():
+        used |= _used_names(tree)
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return [(name, line, qual) for name, tree in trees.items()
+            for line, qual in _public_definitions(tree.body)
+            if qual.rsplit(".", 1)[-1] not in used]
+
+
 def test_scan_flags_an_unused_import():
     source = ("import os\nimport sys as system\nfrom json import dumps, loads\n"
               "def f(x: 'Path') -> None:\n    return loads(x)\n"
@@ -61,3 +102,25 @@ def test_no_unused_imports():
     problems = [f"{f.relative_to(ROOT)}:{line}: {name}" for f in files
                 for line, name in unused_imports(f.read_text(encoding="utf-8"))]
     assert problems == []
+
+
+def test_scan_flags_an_unreferenced_definition():
+    lib = ("def used():\n    pass\ndef unused():\n    pass\ndef _private():\n    pass\n"
+           "class Box:\n    def open(self):\n        pass\n"
+           "    def shut(self):\n        pass\n"
+           "class _Hidden:\n    def peek(self):\n        pass\n")
+    # importing a name, as __init__.py does, is not a use of it
+    caller = "from lib import used, unused\nused()\nBox().open()\n"
+    assert unreferenced_definitions({"lib.py": lib, "caller.py": caller}) == [
+        ("lib.py", 3, "unused"), ("lib.py", 10, "Box.shut"), ("lib.py", 13, "_Hidden.peek")]
+
+
+def test_package_defines_nothing_it_never_uses():
+    files = [f for f in sorted((ROOT / "src" / "synnetgen").glob("*.py"))
+             if f.name != "__init__.py"]
+    assert files
+    found = unreferenced_definitions({f.name: f.read_text(encoding="utf-8") for f in files})
+    assert [f"{f}:{line}: {qual}" for f, line, qual in found
+            if qual not in ALLOWED_UNREFERENCED] == []
+    # an allow-list entry whose definition is gone or now used is stale
+    assert sorted(qual for _, _, qual in found) == sorted(ALLOWED_UNREFERENCED)

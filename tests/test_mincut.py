@@ -2,61 +2,57 @@ import numpy as np
 import pytest
 
 from synnetgen import build_csr, connected_components, global_min_cut, min_cut_of_edges
-from synnetgen.mincut import MinCutSizeError, stoer_wagner_dense
+from synnetgen import mincut
+from synnetgen.mincut import MinCutSizeError, dense_adjacency, stoer_wagner_dense
 
 from helpers import brute_force_min_cut, cut_across, random_edge_array
 
 
 def test_trivial_sizes():
-    res = global_min_cut(build_csr(np.empty((0, 2), dtype=np.int64), 0))
-    assert res.value == 0 and res.side.tolist() == []
-    res = global_min_cut(build_csr(np.empty((0, 2), dtype=np.int64), 1))
-    assert res.value == 0 and res.side.tolist() == []
+    assert global_min_cut(build_csr(np.empty((0, 2), dtype=np.int64), 0)) == 0
+    assert global_min_cut(build_csr(np.empty((0, 2), dtype=np.int64), 1)) == 0
 
 
 def test_single_edge():
-    res = global_min_cut(build_csr(np.array([[0, 1]]), 2))
-    assert res.value == 1
-    assert res.side.tolist() in ([0], [1])
+    assert global_min_cut(build_csr(np.array([[0, 1]]), 2)) == 1
+    value, side = stoer_wagner_dense(dense_adjacency(2, np.array([[0, 1]])))
+    assert value == 1
+    assert side in ([0], [1])
 
 
 def test_known_graphs():
     # path: cut 1
     path = build_csr(np.array([[0, 1], [1, 2], [2, 3]]), 4)
-    assert global_min_cut(path).value == 1
+    assert global_min_cut(path) == 1
     # cycle: cut 2
     cyc = build_csr(np.array([[0, 1], [1, 2], [2, 3], [0, 3]]), 4)
-    assert global_min_cut(cyc).value == 2
+    assert global_min_cut(cyc) == 2
     # K4: cut 3
     k4 = build_csr(np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]), 4)
-    assert global_min_cut(k4).value == 3
+    assert global_min_cut(k4) == 3
     # two triangles joined by a bridge: cut 1
-    bridged = build_csr(
-        np.array([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [2, 3]]), 6
-    )
-    res = global_min_cut(bridged)
-    assert res.value == 1
-    assert sorted(res.side.tolist()) in ([0, 1, 2], [3, 4, 5])
+    bridged = np.array([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [2, 3]])
+    assert global_min_cut(build_csr(bridged, 6)) == 1
+    value, side = stoer_wagner_dense(dense_adjacency(6, bridged))
+    assert value == 1
+    assert side in ([0, 1, 2], [3, 4, 5])
 
 
 def test_disconnected_returns_zero_with_component():
-    g = build_csr(np.array([[0, 1], [2, 3]]), 4)
-    res = global_min_cut(g)
-    assert res.value == 0
-    assert res.side.tolist() == [0, 1]
+    # two components
+    assert global_min_cut(build_csr(np.array([[0, 1], [2, 3]]), 4)) == 0
     # isolated node also disconnects
-    g = build_csr(np.array([[0, 1]]), 3)
-    res = global_min_cut(g)
-    assert res.value == 0
-    assert res.side.tolist() == [0, 1]
+    assert global_min_cut(build_csr(np.array([[0, 1]]), 3)) == 0
 
 
-def test_size_guard():
+def test_size_guard(monkeypatch):
     g = build_csr(np.array([[0, 1]]), 2)
+    monkeypatch.setattr(mincut, "SIZE_GUARD", 1)
     with pytest.raises(MinCutSizeError):
-        global_min_cut(g, size_guard=1)
+        global_min_cut(g)
+    monkeypatch.setattr(mincut, "SIZE_GUARD", 5)
     with pytest.raises(MinCutSizeError):
-        min_cut_of_edges(10, [], size_guard=5)
+        min_cut_of_edges(10, [])
 
 
 def test_value_matches_exhaustive_enumeration():
@@ -65,14 +61,15 @@ def test_value_matches_exhaustive_enumeration():
         n = int(rng.integers(2, 11))
         p = float(rng.uniform(0.1, 0.9))
         arr = random_edge_array(rng, n, p)
-        g = build_csr(arr, n)
         expect = brute_force_min_cut(n, arr.tolist())
-        res = global_min_cut(g)
-        assert res.value == expect
-        # the reported side must realize the reported value
-        if res.value > 0:
-            assert cut_across(arr.tolist(), res.side) == res.value
-            assert 0 < len(res.side) < n
+        value = global_min_cut(build_csr(arr, n))
+        assert value == expect
+        # on a connected graph, the dense kernel's side realizes the value
+        if value > 0:
+            dense_value, side = stoer_wagner_dense(dense_adjacency(n, arr))
+            assert dense_value == value
+            assert cut_across(arr.tolist(), side) == value
+            assert 0 < len(side) < n
 
 
 def test_weighted_dense_matches_contracted_multigraph():
@@ -94,15 +91,11 @@ def test_min_cut_of_edges_agrees_with_csr_route():
             n = int(rng.integers(2, 10))
             arr = random_edge_array(rng, n, p)
             g = build_csr(arr, n)
-            a = global_min_cut(g)
-            b = min_cut_of_edges(n, arr)
-            assert a.value == b.value
-            assert a.side.tolist() == b.side.tolist()
-            labels = connected_components(g)
-            if labels.max() > 0:
+            value = global_min_cut(g)
+            assert min_cut_of_edges(n, arr) == value
+            if connected_components(g).max() > 0:
                 disconnected += 1
-                assert a.value == 0
-                assert a.side.tolist() == np.flatnonzero(labels == 0).tolist()
+                assert value == 0
     assert disconnected >= 30
 
 
@@ -120,15 +113,13 @@ def test_cross_check_networkx():
             expect = nx.stoer_wagner(h)[0]
         else:
             expect = 0
-        assert global_min_cut(g).value == expect
+        assert global_min_cut(g) == expect
 
 
 def test_determinism_of_side():
     rng = np.random.default_rng(77)
     arr = random_edge_array(rng, 12, 0.3)
-    g = build_csr(arr, 12)
-    first = global_min_cut(g)
+    w = dense_adjacency(12, arr)
+    first = stoer_wagner_dense(w)
     for _ in range(5):
-        again = global_min_cut(g)
-        assert again.value == first.value
-        assert again.side.tolist() == first.side.tolist()
+        assert stoer_wagner_dense(w) == first

@@ -1,7 +1,6 @@
 import json
 import time
 from collections import Counter
-from functools import partial
 
 import numpy as np
 import pytest
@@ -18,9 +17,8 @@ from synnetgen import (
     split,
     synthesize,
 )
-from synnetgen import pipeline, repair
+from synnetgen import mincut, pipeline
 from synnetgen.graphs import load_clustering, load_edge_list
-from synnetgen.mincut import check_size
 from synnetgen.pipeline import _build_work_items, _merge_arrays
 
 from helpers import (
@@ -159,7 +157,7 @@ def test_repair_guard_applies_with_injected_stats(small_reference, monkeypatch):
     # cluster over it before allocating the cut matrix
     g, c = small_reference
     stats = compute_stats(g, c)
-    monkeypatch.setattr(repair, "check_size", partial(check_size, size_guard=4))
+    monkeypatch.setattr(mincut, "SIZE_GUARD", 4)
     with pytest.raises(PipelineError) as info:
         synthesize(g, c, "pp", seed=3, stats=stats)
     assert info.value.stage == "repair"

@@ -1,6 +1,5 @@
 import itertools
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -8,16 +7,16 @@ import pytest
 from synnetgen import (
     ClusterWork,
     match_degrees_global,
-    match_degrees_per_cluster,
     process_cluster,
 )
-from synnetgen import repair
-from synnetgen.mincut import MinCutSizeError, check_size
+from synnetgen import mincut
+from synnetgen.mincut import MinCutSizeError
 from synnetgen.repair import (
     PARTNER_CAP,
     _deficit_matching,
     _enforce_min_degree,
     _LocalGraph,
+    _match_within,
     _repair_mincut,
     _stitch,
     min_degree_target,
@@ -50,6 +49,12 @@ def work(size, edges, k=1, ref=None, ext=None, cid=0):
 def local(size, edges):
     """A stage's input: the cluster's local graph, which the stage mutates."""
     return _LocalGraph(size, canon(edges))
+
+
+def match_within(item):
+    """Per-cluster degree matching as process_cluster runs it: on the
+    item's local graph."""
+    return _match_within(_LocalGraph(len(item.members), item.edges), item)
 
 
 def with_added(item, *added):
@@ -219,7 +224,7 @@ def test_repair_mincut_random_eight_node():
 
 def test_repair_mincut_refuses_cluster_over_size_guard(monkeypatch):
     # the guard is checked before the first cut matrix is allocated
-    monkeypatch.setattr(repair, "check_size", partial(check_size, size_guard=4))
+    monkeypatch.setattr(mincut, "SIZE_GUARD", 4)
     with pytest.raises(MinCutSizeError):
         _repair_mincut(local(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 2)
     # no cut needed: a target of 0 never reaches the guard
@@ -238,14 +243,14 @@ def test_repair_mincut_target_clamped_by_size():
 
 def test_match_per_cluster_triangle():
     item = work(3, [], ref=[2, 2, 2])
-    added, residual = match_degrees_per_cluster(item)
+    added, residual = match_within(item)
     assert sorted(added) == [(0, 1), (0, 2), (1, 2)]
     assert residual == {}
 
 
 def test_match_per_cluster_saturated_pair():
     item = work(2, [(0, 1)], ref=[3, 3])
-    added, residual = match_degrees_per_cluster(item)
+    added, residual = match_within(item)
     assert added == []
     assert residual == {0: 2, 1: 2}
 
@@ -253,7 +258,7 @@ def test_match_per_cluster_saturated_pair():
 def test_match_per_cluster_counts_external_degree():
     # ref degree 2, one external edge each: only 1 intra deficit per node
     item = work(2, [], ref=[2, 2], ext=[1, 1])
-    added, residual = match_degrees_per_cluster(item)
+    added, residual = match_within(item)
     assert added == [(0, 1)]
     assert residual == {}
 
@@ -269,7 +274,7 @@ def test_match_never_overshoots():
         before = degrees_of(edges, size)
         ref = [int(d + rng.integers(0, 4)) for d in before]
         item = work(size, edges, ref=ref)
-        added, _ = match_degrees_per_cluster(item)
+        added, _ = match_within(item)
         after = degrees_of(with_added(item, added), size)
         for v in range(size):
             assert after[v] <= ref[v] or after[v] == before[v]
@@ -290,7 +295,7 @@ def test_match_rmse_never_increases():
         before = degrees_of(edges, size)
         ref = [int(rng.integers(0, size)) for _ in range(size)]
         item = work(size, edges, ref=ref)
-        added, _ = match_degrees_per_cluster(item)
+        added, _ = match_within(item)
         after = degrees_of(with_added(item, added), size)
         assert rmse_to(ref, after) <= rmse_to(ref, before)
         if added:
@@ -323,7 +328,7 @@ def test_match_optimal_on_unit_deficits():
     # exactly one node unmatched iff the count is odd
     for size in range(2, 8):
         item = work(size, [], ref=[1] * size)
-        _, residual = match_degrees_per_cluster(item)
+        _, residual = match_within(item)
         assert sum(residual.values()) == size % 2
         assert _optimal_residual(size, set(), [1] * size) == size % 2
 
@@ -334,7 +339,7 @@ def test_match_greedy_is_not_always_optimal():
     # nodes across them would do better
     ref = [1, 1, 3, 3, 3]
     item = work(5, [], ref=ref)
-    _, residual = match_degrees_per_cluster(item)
+    _, residual = match_within(item)
     assert sum(residual.values()) == 3
     assert _optimal_residual(5, set(), ref) == 1
 
@@ -351,7 +356,7 @@ def test_match_residual_at_least_optimum():
         ref = [int(d + rng.integers(0, 3)) for d in before]
         deficits = [r - d for r, d in zip(ref, before)]
         item = work(size, sorted(edges), ref=ref)
-        _, residual = match_degrees_per_cluster(item)
+        _, residual = match_within(item)
         got = sum(residual.values())
         assert got >= _optimal_residual(size, edges, deficits)
 
@@ -436,7 +441,7 @@ def test_process_cluster_satisfied_is_noop():
     for variant in ("plus", "pp"):
         item = work(4, c4, k=2, ref=[2, 2, 2, 2])
         out = process_cluster(item, variant)
-        assert out.added_count() == 0
+        assert sum(map(len, out.added.values())) == 0
         assert out.residual == {}
 
 
@@ -447,7 +452,7 @@ def test_process_cluster_postconditions_small():
     deg = degrees_of(edges, 4)
     assert min(deg) >= 1
     assert len(components_of(edges, 4)) == 1
-    assert out.added_count() == len(edges)
+    assert sum(map(len, out.added.values())) == len(edges)
 
 
 def test_process_cluster_pp_sampled_ten_nodes():
@@ -525,9 +530,9 @@ def test_repair_leaves_work_items_unchanged():
         item = work(12, edges, k=3, ref=ref)
         before = item.edges.copy()
         out = process_cluster(item, variant)
-        assert out.added_count() > 0
+        assert sum(map(len, out.added.values())) > 0
         assert item.edges.tolist() == before.tolist()
     item = work(12, edges, ref=ref)
-    added, _ = match_degrees_per_cluster(item)
+    added, _ = match_within(item)
     assert added
     assert item.edges.tolist() == canon(edges).tolist()

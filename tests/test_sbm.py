@@ -38,38 +38,10 @@ def test_block_matrix_matches_tally_oracle():
         assert np.all(bm.r <= bm.s)
 
 
-def test_chunk_size_invariance():
-    rng = np.random.default_rng(8)
-    arr = random_edge_array(rng, 80, 0.3)
-    c = random_clustering(rng, 80, 6)
-    base = build_block_matrix(arr, c, chunk_size=len(arr) + 1)
-    for chunk in (1, 7, 1024):
-        bm = build_block_matrix(arr, c, chunk_size=chunk)
-        assert bm.r.tolist() == base.r.tolist()
-        assert bm.s.tolist() == base.s.tolist()
-        assert bm.counts.tolist() == base.counts.tolist()
-
-
 def test_empty_edges():
     bm = build_block_matrix(np.empty((0, 2), dtype=np.int64), Clustering([0, 1]))
     assert len(bm) == 0
     assert bm.total_edges == 0
-
-
-def test_bad_chunk_size():
-    with pytest.raises(ValueError):
-        build_block_matrix(np.array([[0, 1]]), Clustering([0, 0]), chunk_size=0)
-
-
-def test_block_matrix_csv(tmp_path):
-    arr = np.array([[0, 1], [0, 2], [1, 2], [2, 3]])
-    c = Clustering([5, 5, 7, 7])
-    bm = build_block_matrix(arr, c)
-    p = tmp_path / "bm.csv"
-    bm.to_csv(p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "r,s,count"
-    assert set(lines[1:]) == {"5,5,1", "5,7,2", "7,7,1"}
 
 
 def test_degree_weights():
