@@ -101,7 +101,7 @@ def write_stats_csv(stats: dict[int, ClusterStats], path) -> None:
 def read_stats_csv(path) -> dict[int, ClusterStats]:
     """Read a stats CSV written by write_stats_csv (or produced upstream).
 
-    A cluster may have one row only.
+    A cluster may have one row only, and n, m and mincut may not be negative.
     """
     path = Path(path)
     if not path.exists():
@@ -121,6 +121,8 @@ def read_stats_csv(path) -> dict[int, ClusterStats]:
                 cid, n, m, cut = (int(x) for x in row)
             except ValueError:
                 raise GraphFormatError(f"{path}: row {row_no}: non-integer value")
+            if min(n, m, cut) < 0:
+                raise GraphFormatError(f"{path}: row {row_no}: negative n, m or mincut")
             if cid in out:
                 raise GraphFormatError(f"{path}: row {row_no}: cluster {cid} repeated")
             out[cid] = ClusterStats(cluster_id=cid, n=n, m=m, mincut=cut)

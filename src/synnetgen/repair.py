@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mincut import check_size, dense_adjacency, stoer_wagner_dense
+from .mincut import check_size, cut_floor, dense_adjacency, stoer_wagner_dense
 
 # live candidates a deficient node scans for a partner before it retires
 PARTNER_CAP = 64
@@ -193,9 +193,10 @@ def _repair_mincut(lg: _LocalGraph, k: int) -> tuple[list, list]:
     """Add edges until the cluster's exact min cut reaches min(k, size-1).
 
     Each round recomputes the cut and adds a single edge across it between
-    the lowest-degree non-adjacent pair. Returns (added, warnings). A
-    cluster larger than the exact cut's size guard raises MinCutSizeError
-    before any cut matrix is allocated.
+    the lowest-degree non-adjacent pair. A round ends the repair without
+    the kernel when the cut's proven lower bound already meets the target.
+    Returns (added, warnings). A cluster larger than the exact cut's size
+    guard raises MinCutSizeError before any cut matrix is allocated.
     """
     size = lg.size
     added = []
@@ -205,7 +206,11 @@ def _repair_mincut(lg: _LocalGraph, k: int) -> tuple[list, list]:
         return added, warnings
     check_size(size)
     while True:
-        value, side = stoer_wagner_dense(dense_adjacency(size, list(lg.edges)))
+        floor = cut_floor(lg.adj, min(lg.deg))
+        if floor >= target:
+            break
+        value, side = stoer_wagner_dense(dense_adjacency(size, list(lg.edges)),
+                                         floor=floor)
         if value >= target:
             break
         inside = set(side)

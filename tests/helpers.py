@@ -14,6 +14,8 @@ import networkx as nx
 import numpy as np
 
 from synnetgen import Clustering, build_csr
+from synnetgen.mincut import dense_adjacency, stoer_wagner_dense
+from synnetgen.repair import _lowest_degree_cross_pair
 from synnetgen.sbm import MAX_RETRIES, SampleReport
 
 
@@ -257,6 +259,34 @@ def reference_sample_dcsbm(bm, c, weights, seed):
                           shortfall=int(shortfall.sum()), coordinate_shortfall=shortfall,
                           single_node_intra_blocks=lonely)
     return np.array(sorted(placed), dtype=np.int64).reshape(-1, 2), report
+
+
+def reference_repair_mincut(lg, k):
+    """_repair_mincut without its cut bounds: the full kernel every round.
+
+    Same contract and tie-breaks, so on equal input it must add the same
+    edges in the same order and give the same warnings.
+    """
+    size = lg.size
+    added = []
+    warnings = []
+    target = min(k, size - 1)
+    if size < 2 or target <= 0:
+        return added, warnings
+    while True:
+        value, side = stoer_wagner_dense(dense_adjacency(size, list(lg.edges)))
+        if value >= target:
+            break
+        inside = set(side)
+        other = [v for v in range(size) if v not in inside]
+        pair = _lowest_degree_cross_pair(lg, sorted(inside), other)
+        if pair is None:
+            warnings.append(
+                f"cut saturated at {value} (target {target}), no addable pair"
+            )
+            break
+        added.append(lg.add(*pair))
+    return added, warnings
 
 
 def nmi_oracle(a, b):

@@ -198,6 +198,7 @@ def test_stats_file_missing_cluster_exits_two(ref_files, tmp_path, capsys, comma
         (stats, f"{last},{s.n},{s.m},{s.mincut}\n", f"cluster {last} repeated"),
         ({**stats, last: replace(s, n=s.n + 1)}, "",
          f"n differs from the member count of clusters: [{last}]"),
+        ({**stats, last: replace(s, m=-4, mincut=-3)}, "", "negative n, m or mincut"),
     ]
     sf = tmp_path / "stats.csv"
     for rows, extra, message in cases:

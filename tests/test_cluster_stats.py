@@ -148,6 +148,9 @@ def test_read_stats_errors(tmp_path):
     p.write_text("cluster,n,m,mincut\n20,3,3,2\n21,3,2,1\n20,3,3,2\n")
     with pytest.raises(GraphFormatError, match="row 4: cluster 20 repeated"):
         read_stats_csv(p)
+    p.write_text("cluster,n,m,mincut\n21,3,2,1\n20,3,-4,-3\n")
+    with pytest.raises(GraphFormatError, match="row 3: negative n, m or mincut"):
+        read_stats_csv(p)
 
 
 def test_validate_stats_cover():

@@ -1,9 +1,18 @@
+import itertools
+
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from synnetgen import build_csr, connected_components, global_min_cut, min_cut_of_edges
 from synnetgen import mincut
-from synnetgen.mincut import MinCutSizeError, dense_adjacency, stoer_wagner_dense
+from synnetgen.mincut import (
+    MinCutSizeError,
+    bridge_floor,
+    dense_adjacency,
+    stoer_wagner_dense,
+)
 
 from helpers import brute_force_min_cut, cut_across, random_edge_array
 
@@ -123,3 +132,90 @@ def test_determinism_of_side():
     first = stoer_wagner_dense(w)
     for _ in range(5):
         assert stoer_wagner_dense(w) == first
+
+
+# ===== Cut bounds: every shortcut must agree with the full kernel =====
+
+MAX_EXAMPLES = 150
+
+# two triangles joined by a bridge: n = 2 delta + 2 and the cut 1 < delta
+BRIDGED_TRIANGLES = (6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
+
+
+@st.composite
+def graphs(draw):
+    """(n, edges) of a simple graph on 2..12 nodes, labels shuffled.
+
+    Shapes other than plain random ones are forced, because each sits on
+    one side of a bound: trees (cut 1), cycles (bridgeless, cut 2),
+    near-complete graphs (n <= 2 delta + 1) and disconnected graphs.
+    """
+    shape = draw(st.sampled_from(["random", "tree", "cycle", "near_complete",
+                                  "disconnected"]))
+    n = draw(st.integers(3 if shape == "cycle" else 2, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    if shape == "random":
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    elif shape == "tree":
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    elif shape == "cycle":
+        edges = [(v, (v + 1) % n) for v in range(n)]
+    elif shape == "near_complete":
+        gone = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n // 2))
+        edges = [e for e in pairs if e not in gone]
+    else:
+        split = draw(st.integers(1, n - 1))
+        edges = [(u, v) for u, v in draw(st.lists(st.sampled_from(pairs), unique=True))
+                 if (u < split) == (v < split)]
+    perm = draw(st.permutations(range(n)))
+    return n, sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges)
+
+
+def nx_graph(n, edges):
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    return h
+
+
+def full_kernel_cut(n, edges):
+    """The cut the kernel finds with no bound, 0 for a disconnected graph."""
+    if not nx.is_connected(nx_graph(n, edges)):
+        return 0
+    return stoer_wagner_dense(dense_adjacency(n, np.array(edges)))[0]
+
+
+@settings(max_examples=MAX_EXAMPLES)
+@given(graphs())
+@example(BRIDGED_TRIANGLES)
+def test_bridge_floor_matches_networkx(graph):
+    n, edges = graph
+    h = nx_graph(n, edges)
+    expect = 0 if not nx.is_connected(h) else 1 if nx.has_bridges(h) else 2
+    assert bridge_floor([list(h.neighbors(v)) for v in range(n)]) == expect
+
+
+@settings(max_examples=MAX_EXAMPLES)
+@given(graphs())
+@example(BRIDGED_TRIANGLES)
+def test_value_front_ends_match_full_kernel(graph):
+    n, edges = graph
+    arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    expect = full_kernel_cut(n, edges)
+    assert min_cut_of_edges(n, arr) == expect
+    assert global_min_cut(build_csr(arr, n)) == expect
+
+
+@settings(max_examples=MAX_EXAMPLES)
+@given(graphs(), st.lists(st.integers(1, 3), min_size=66, max_size=66))
+@example(BRIDGED_TRIANGLES, [1] * 66)
+def test_floor_keeps_value_and_side(graph, weights):
+    # edge weights stand for the parallel edges that contraction makes;
+    # 66 covers every pair of 12 nodes
+    n, edges = graph
+    w = np.zeros((n, n), dtype=np.int64)
+    for (u, v), x in zip(edges, weights):
+        w[u, v] = w[v, u] = x
+    full = stoer_wagner_dense(w, floor=-1)
+    for f in range(full[0] + 1):
+        assert stoer_wagner_dense(w, floor=f) == full

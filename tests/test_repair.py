@@ -9,8 +9,8 @@ from synnetgen import (
     match_degrees_global,
     process_cluster,
 )
-from synnetgen import mincut
-from synnetgen.mincut import MinCutSizeError
+from synnetgen import mincut, repair
+from synnetgen.mincut import MinCutSizeError, stoer_wagner_dense
 from synnetgen.repair import (
     PARTNER_CAP,
     _deficit_matching,
@@ -26,6 +26,7 @@ from helpers import (
     brute_force_min_cut,
     min_edges_for_degree_floor,
     random_edge_array,
+    reference_repair_mincut,
 )
 
 
@@ -232,6 +233,45 @@ def test_repair_mincut_refuses_cluster_over_size_guard(monkeypatch):
     # at the guard is allowed
     added, _ = _repair_mincut(local(4, [(0, 1), (1, 2), (2, 3)]), 2)
     assert added
+
+
+def test_repair_mincut_matches_kernel_every_round():
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        size = int(rng.integers(2, 13))
+        edges = random_edge_array(rng, size, float(rng.uniform(0.1, 0.8))).tolist()
+        k = int(rng.integers(1, 6))
+        lg = local(size, edges)
+        # half the clusters arrive as repair sees them: degrees raised, one piece
+        if rng.random() < 0.5:
+            _enforce_min_degree(lg, k)
+            _stitch(lg)
+        ref = _LocalGraph(size, canon(lg.edges))
+        assert _repair_mincut(lg, k) == reference_repair_mincut(ref, k)
+        assert lg.edges == ref.edges
+
+
+def test_repair_mincut_kernel_calls(monkeypatch):
+    calls = []
+
+    def counted(w, floor=0):
+        calls.append(floor)
+        return stoer_wagner_dense(w, floor=floor)
+
+    monkeypatch.setattr(repair, "stoer_wagner_dense", counted)
+    cycle = [(v, (v + 1) % 8) for v in range(8)]
+    settled = [
+        (local(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]), 1),  # connected, target 1
+        (local(5, [(v, (v + 1) % 5) for v in range(5)]), 2),      # 5 nodes, delta 2
+        (local(8, cycle), 2),                                     # bridgeless, target 2
+    ]
+    for lg, k in settled:
+        assert _repair_mincut(lg, k) == ([], [])
+    assert calls == []
+    bridged = local(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
+    added, _ = _repair_mincut(bridged, 2)
+    assert added and calls
+    assert brute_force_min_cut(6, bridged.edges) >= 2
 
 
 def test_repair_mincut_target_clamped_by_size():
