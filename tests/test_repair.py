@@ -259,11 +259,10 @@ def test_repair_mincut_kernel_calls(monkeypatch):
         return stoer_wagner_dense(w, floor=floor)
 
     monkeypatch.setattr(repair, "stoer_wagner_dense", counted)
-    cycle = [(v, (v + 1) % 8) for v in range(8)]
     settled = [
         (local(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]), 1),  # connected, target 1
         (local(5, [(v, (v + 1) % 5) for v in range(5)]), 2),      # 5 nodes, delta 2
-        (local(8, cycle), 2),                                     # bridgeless, target 2
+        (local(8, [(v, (v + 1) % 8) for v in range(8)]), 2),      # bridgeless, target 2
     ]
     for lg, k in settled:
         assert _repair_mincut(lg, k) == ([], [])
