@@ -27,7 +27,8 @@ from .graphs import (
 from .metrics import ALIGN_IDENTITY, ALIGN_SORTED, MIXING_EDGE_FRACTION, \
     MIXING_NODE_MEAN, compare_networks
 from .mincut import MinCutSizeError
-from .pipeline import PipelineConfig, PipelineError, run_both_variants, run_pipeline
+from .pipeline import PipelineConfig, PipelineError, _load_inputs, run_both_variants, \
+    run_pipeline
 from .splitting import split
 
 EXIT_OK = 0
@@ -45,13 +46,21 @@ def _seed(text: str) -> int:
     return value
 
 
+def _workers(text: str) -> int:
+    """The --workers type: an integer of at least 1; argparse exits 2 on anything else."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text}")
+    return value
+
+
 def _add_generate(sub):
     p = sub.add_parser("generate", help="generate a synthetic network")
     p.add_argument("--network", required=True, type=Path)
     p.add_argument("--clustering", required=True, type=Path)
     p.add_argument("--variant", choices=list(rp.VARIANTS), default=rp.VARIANT_PP)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--out-dir", required=True, type=Path)
     p.add_argument("--stats-file", type=Path, default=None,
                    help="precomputed cluster stats CSV (cluster,n,m,mincut)")
@@ -75,24 +84,20 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    loaded = load_edge_list(args.network)
-    g = build_csr(loaded.edges, loaded.n)
-    c = load_clustering(args.clustering, loaded.labels)
+    labels, g, c, _, _ = _load_inputs(args.network, args.clustering, None)
     res = split(g, c)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    gc_labels = loaded.labels[res.gc_nodes]
+    gc_labels = labels[res.gc_nodes]
     write_edge_list(res.g_c_edges, gc_labels, out / "clustered_edges.tsv")
-    write_edge_list(res.g_s_edges, loaded.labels, out / "singleton_edges.tsv")
+    write_edge_list(res.g_s_edges, labels, out / "singleton_edges.tsv")
     write_clustering(res.c_c, gc_labels, out / "clustered_clustering.tsv")
-    write_clustering(res.c_s, loaded.labels, out / "singleton_clustering.tsv")
+    write_clustering(res.c_s, labels, out / "singleton_clustering.tsv")
     return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
-    loaded = load_edge_list(args.network)
-    g = build_csr(loaded.edges, loaded.n)
-    c = load_clustering(args.clustering, loaded.labels)
+    _, g, c, _, _ = _load_inputs(args.network, args.clustering, None)
     stats = compute_stats(g, c, workers=args.workers)
     write_stats_csv(stats, args.out)
     return EXIT_OK
@@ -148,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True, type=Path)
     p.add_argument("--clustering", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
 
     p = sub.add_parser("eval", help="fidelity metrics, reference vs synthetic")
     p.add_argument("--reference", required=True, type=Path)
@@ -165,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True, type=Path)
     p.add_argument("--clustering", required=True, type=Path)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--out-dir", required=True, type=Path)
     p.add_argument("--stats-file", type=Path, default=None)
     return parser

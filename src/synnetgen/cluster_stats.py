@@ -38,17 +38,21 @@ def _local_edge_groups(edges: np.ndarray, c: Clustering):
     of c in cluster id order. Local node i is the cluster's i-th member in
     ascending id order; edges between two clusters are dropped.
     """
-    keys = c.assignment[edges[:, 0]]
-    same = keys == c.assignment[edges[:, 1]]
+    order, bounds = c.grouped
+    sizes = np.diff(bounds)
+    rank = np.empty(c.n, dtype=np.int64)
+    rank[order] = np.arange(c.n) - np.repeat(bounds[:-1], sizes)
+    keys = c.index[edges[:, 0]]
+    same = keys == c.index[edges[:, 1]]
     keys = keys[same]
-    order = np.argsort(keys, kind="stable")
-    intra, keys = edges[same][order], keys[order]
-    uniq, starts = np.unique(keys, return_index=True)
-    by_cluster = dict(zip(uniq.tolist(), np.split(intra, starts[1:])))
-    empty = np.empty((0, 2), dtype=np.int64)
-    for cid in c.multi_cluster_ids.tolist():
-        members = c.members(cid)
-        yield cid, members, np.searchsorted(members, by_cluster.get(cid, empty))
+    local = rank[edges[same][np.argsort(keys, kind="stable")]]
+    # only a multi-node cluster can hold an intra edge, so the multi-node
+    # clusters' runs tile the sorted edges
+    multi = np.flatnonzero(sizes > 1)
+    runs = np.bincount(keys, minlength=len(sizes))[multi]
+    groups = np.split(local, np.cumsum(runs)[:-1])
+    for k, group in zip(multi.tolist(), groups):
+        yield int(c.cluster_ids[k]), order[bounds[k]:bounds[k + 1]], group
 
 
 def cluster_edge_tables(g: CsrGraph, c: Clustering):

@@ -125,15 +125,17 @@ class Clustering:
     """Total assignment of nodes 0..n-1 to integer cluster ids.
 
     A node is "clustered" iff its cluster has more than one member;
-    otherwise it is a singleton (outlier).
+    otherwise it is a singleton (outlier). cluster_ids are the sorted
+    unique ids and index[v] is the position of node v's cluster in them,
+    so cluster_ids[index] == assignment. Every per-node cluster lookup
+    reads index.
     """
 
     def __init__(self, assignment):
         self.assignment = np.asarray(assignment, dtype=np.int64)
-        self._ids, inverse, self._counts = np.unique(
+        self.cluster_ids, self.index, self._counts = np.unique(
             self.assignment, return_inverse=True, return_counts=True
         )
-        self._node_sizes = self._counts[inverse]
         # members grouped by cluster: stable argsort keeps node ids ascending
         self._order = np.argsort(self.assignment, kind="stable")
         self._bounds = np.concatenate(([0], np.cumsum(self._counts)))
@@ -143,22 +145,12 @@ class Clustering:
         return len(self.assignment)
 
     @property
-    def cluster_ids(self) -> np.ndarray:
-        """Sorted unique cluster ids."""
-        return self._ids
-
-    @property
     def clustered_mask(self) -> np.ndarray:
-        return self._node_sizes > 1
+        return self._counts[self.index] > 1
 
     @property
     def singleton_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self._node_sizes == 1)
-
-    @property
-    def multi_cluster_ids(self) -> np.ndarray:
-        """Ids of clusters with more than one member, ascending."""
-        return self._ids[self._counts > 1]
+        return np.flatnonzero(self._counts[self.index] == 1)
 
     @property
     def grouped(self) -> tuple[np.ndarray, np.ndarray]:
@@ -166,17 +158,6 @@ class Clustering:
         and ascending within a cluster, so the members of cluster_ids[k]
         are order[bounds[k]:bounds[k + 1]]."""
         return self._order, self._bounds
-
-    def members(self, cluster_id: int) -> np.ndarray:
-        """Member node ids of a cluster, ascending."""
-        i = self._index(cluster_id)
-        return self._order[self._bounds[i]:self._bounds[i + 1]]
-
-    def _index(self, cluster_id: int) -> int:
-        i = int(np.searchsorted(self._ids, cluster_id))
-        if i >= len(self._ids) or self._ids[i] != cluster_id:
-            raise KeyError(f"unknown cluster id {cluster_id}")
-        return i
 
 
 # ===== File I/O =====

@@ -163,12 +163,12 @@ def mixing_parameter(g: CsrGraph, c: Clustering,
     if mode == MIXING_EDGE_FRACTION:
         if g.m == 0:
             return 0.0
-        crossing = c.assignment[arr[:, 0]] != c.assignment[arr[:, 1]]
+        crossing = c.index[arr[:, 0]] != c.index[arr[:, 1]]
         return float(crossing.sum()) / float(g.m)
     if mode == MIXING_NODE_MEAN:
         deg = g.degrees
         cross_deg = np.zeros(g.n, dtype=np.int64)
-        crossing = arr[c.assignment[arr[:, 0]] != c.assignment[arr[:, 1]]]
+        crossing = arr[c.index[arr[:, 0]] != c.index[arr[:, 1]]]
         np.add.at(cross_deg, crossing[:, 0], 1)
         np.add.at(cross_deg, crossing[:, 1], 1)
         has_deg = deg > 0

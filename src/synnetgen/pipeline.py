@@ -107,16 +107,19 @@ class SynthesisResult:
     stats: dict                # cluster id -> ClusterStats actually used
 
 
-def _merge_arrays(n: int, parts: list) -> tuple[np.ndarray, int]:
-    """Union of canonical edge arrays with duplicate count (packed-key dedup)."""
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return np.empty((0, 2), dtype=np.int64), 0
-    allp = np.concatenate(parts)
-    keys = allp[:, 0] * n + allp[:, 1]
-    uniq = np.unique(keys)
-    dups = int(len(keys) - len(uniq))
-    return np.column_stack([uniq // n, uniq % n]), dups
+def _merge_arrays(n: int, parts: list) -> np.ndarray:
+    """Union of disjoint canonical edge arrays, as one canonical array.
+
+    Every union the pipeline makes is disjoint by construction, so a
+    repeated edge is a fault and raises PipelineError("merge").
+    """
+    keys = np.concatenate([np.empty(0, dtype=np.int64)]
+                          + [p[:, 0] * n + p[:, 1] for p in parts])
+    keys.sort()
+    repeated = int(np.count_nonzero(keys[1:] == keys[:-1]))
+    if repeated:
+        raise PipelineError("merge", f"{repeated} edges repeated across merged parts")
+    return np.column_stack([keys // n, keys % n])
 
 
 def _build_work_items(split_res: SplitResult, ref_deg: np.ndarray,
@@ -125,19 +128,13 @@ def _build_work_items(split_res: SplitResult, ref_deg: np.ndarray,
 
     ref_deg is every clustered node's degree in the clustered reference part.
     """
-    sampled_deg = np.bincount(gc_sample.ravel(), minlength=len(ref_deg))
-    items = []
-    for cid, members, local in _local_edge_groups(gc_sample, split_res.c_c):
-        intra_deg = np.bincount(local.ravel(), minlength=len(members))
-        items.append(rp.ClusterWork(
-            cluster_id=cid,
-            members=members,
-            edges=local,
-            target_cut=stats[cid].mincut,
-            ref_deg=ref_deg[members],
-            ext_deg=sampled_deg[members] - intra_deg,
-        ))
-    return items
+    index = split_res.c_c.index
+    cross = gc_sample[index[gc_sample[:, 0]] != index[gc_sample[:, 1]]]
+    ext_deg = np.bincount(cross.ravel(), minlength=len(ref_deg))
+    return [rp.ClusterWork(cluster_id=cid, members=members, edges=local,
+                           target_cut=stats[cid].mincut, ref_deg=ref_deg[members],
+                           ext_deg=ext_deg[members])
+            for cid, members, local in _local_edge_groups(gc_sample, split_res.c_c)]
 
 
 @contextmanager
@@ -272,10 +269,7 @@ def _finish(prepared: _Prepared, variant: str, executor,
                 f"cluster {item.cluster_id}: {w}" for w in out.warnings)
 
         # merged clustered part: sampled edges plus everything repair added
-        gc_merged, gc_dups = _merge_arrays(n_c, [gc_sample] + added_parent)
-        if gc_dups:
-            raise PipelineError(
-                "merge", f"repair produced {gc_dups} duplicate edges")
+        gc_merged = _merge_arrays(n_c, [gc_sample] + added_parent)
 
     if variant == rp.VARIANT_PLUS:
         with _stage(seconds, "degree_match_global"):
@@ -284,7 +278,7 @@ def _finish(prepared: _Prepared, variant: str, executor,
             matched, residual = rp.match_degrees_global(gc_merged, deficits)
             added_counts[rp.STAGE_DEGREE_MATCH] += len(matched)
             if matched:
-                gc_merged, _ = _merge_arrays(
+                gc_merged = _merge_arrays(
                     n_c, [gc_merged, np.array(matched, dtype=np.int64)])
             for node, d in sorted(residual.items()):
                 parent = int(split_res.gc_nodes[node])
@@ -292,7 +286,7 @@ def _finish(prepared: _Prepared, variant: str, executor,
 
     with _stage(seconds, "merge"):
         gc_parent = split_res.gc_nodes[gc_merged]
-        final, dups = _merge_arrays(prepared.g.n, [gc_parent, prepared.gs_sample])
+        final = _merge_arrays(prepared.g.n, [gc_parent, prepared.gs_sample])
 
         report.edge_counts = {
             "reference": prepared.g.m,
@@ -304,12 +298,9 @@ def _finish(prepared: _Prepared, variant: str, executor,
             "added_stitch": added_counts[rp.STAGE_STITCH],
             "added_mincut": added_counts[rp.STAGE_MINCUT],
             "added_degree_match": added_counts[rp.STAGE_DEGREE_MATCH],
-            "merge_duplicates": dups,
+            "merge_duplicates": 0,  # report schema; a repeat raises in the merge
             "output": int(len(final)),
         }
-        expected = len(gc_parent) + len(prepared.gs_sample) - dups
-        if len(final) != expected:
-            raise PipelineError("merge", "edge conservation check failed")
         report.residual_deficit_total = int(sum(r[2] for r in residuals))
         report.residual_node_count = len(residuals)
     return SynthesisResult(edges=final, report=report, residuals=residuals,

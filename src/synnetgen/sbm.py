@@ -50,9 +50,8 @@ def build_block_matrix(edges, c: Clustering) -> BlockMatrix:
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     ids = c.cluster_ids
     b = len(ids)
-    bidx = np.searchsorted(ids, c.assignment)
-    cu = bidx[arr[:, 0]]
-    cv = bidx[arr[:, 1]]
+    cu = c.index[arr[:, 0]]
+    cv = c.index[arr[:, 1]]
     keys, counts = np.unique(np.minimum(cu, cv) * b + np.maximum(cu, cv),
                              return_counts=True)
     return BlockMatrix(block_ids=ids, r=keys // b if b else keys,
@@ -130,7 +129,7 @@ def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
     order, bounds = c.grouped
     start, stop = bounds[:-1], bounds[1:]
     size = stop - start
-    owner = np.repeat(np.arange(len(size)), size)
+    owner = c.index[order]
     w = weights[order]
     w = np.where((np.bincount(owner, weights=w, minlength=len(size)) <= 0)[owner], 1.0, w)
     # one running sum over all clusters; degree weights are integers, so

@@ -195,6 +195,28 @@ def min_edges_for_degree_floor(n, existing, t):
     raise AssertionError("unreachable: adding all missing edges saturates")
 
 
+def cluster_members(c, cid):
+    """Member node ids of cluster cid, ascending, by a scan of the assignment."""
+    return np.flatnonzero(c.assignment == cid)
+
+
+def reference_local_edge_groups(edges, c):
+    """The grouping oracle: (cluster_id, members, local_edges) of every
+    multi-node cluster of c, in cluster id order.
+
+    Each cluster scans the assignment for its members and localises its
+    intra edges with searchsorted, one cluster at a time.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    out = []
+    for cid in sorted(set(c.assignment.tolist())):
+        members = cluster_members(c, cid)
+        if len(members) > 1:
+            inside = np.isin(edges, members).all(axis=1)
+            out.append((cid, members, np.searchsorted(members, edges[inside])))
+    return out
+
+
 def block_tally_oracle(edges, assignment):
     """Single-threaded dict tally of edges into cluster pairs."""
     tally = Counter()
@@ -217,7 +239,7 @@ def reference_sample_dcsbm(bm, c, weights, seed):
     weights = np.asarray(weights, dtype=np.float64)
 
     def block(bi):
-        nodes = c.members(int(bm.block_ids[bi]))
+        nodes = cluster_members(c, int(bm.block_ids[bi]))
         w = weights[nodes]
         return nodes, np.cumsum(w if w.sum() > 0 else np.ones(len(nodes)))
 
@@ -349,7 +371,7 @@ def structural_violations(g_out, c, stats):
     arr = g_out.edge_array()
     bad = []
     for cid, s in stats.items():
-        members = c.members(cid)
+        members = cluster_members(c, cid)
         size = len(members)
         if size < 2:
             continue

@@ -143,6 +143,19 @@ def test_negative_seed_exits_two(ref_files, tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", ["generate", "stats", "compare-versions"])
+def test_non_positive_workers_exits_two(ref_files, tmp_path, capsys, command, workers):
+    net, clu, _, _ = ref_files
+    out_flag = "--out" if command == "stats" else "--out-dir"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--network", str(net), "--clustering", str(clu),
+              "--workers", workers, out_flag, str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "expected an integer of at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_split_command(ref_files, tmp_path):
     net, clu, arr, assignment = ref_files
     out = tmp_path / "split"

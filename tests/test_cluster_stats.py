@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from synnetgen import Clustering, ClusterStats, build_csr, cluster_stats, compute_stats
 from synnetgen.cluster_stats import (
+    _local_edge_groups,
     cluster_edge_tables,
     read_stats_csv,
     validate_stats_cover,
@@ -12,8 +14,10 @@ from synnetgen.graphs import GraphFormatError
 
 from helpers import (
     brute_force_min_cut,
+    cluster_members,
     random_clustering,
     random_edge_array,
+    reference_local_edge_groups,
 )
 
 
@@ -45,6 +49,40 @@ def test_cluster_edge_tables_localization():
     assert local.tolist() == [[0, 1], [1, 2]]
 
 
+@st.composite
+def clustered_graphs(draw):
+    """(canonical edge array, assignment) over 1-60 nodes whose cluster ids
+    come from a small sparse pool, negatives included."""
+    n = draw(st.integers(1, 60))
+    pool = draw(st.lists(st.integers(-40, 10**6), min_size=1, max_size=8, unique=True))
+    assignment = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=5 * n))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    return np.array(edges, dtype=np.int64).reshape(-1, 2), assignment
+
+
+@settings(max_examples=200)
+@given(clustered_graphs())
+# no edges at all
+@example((np.empty((0, 2), dtype=np.int64), [5, 5, -3, 5]))
+# only singletons
+@example((np.array([[0, 1], [1, 2]]), [9, 2, 40]))
+# cluster 7 has no intra edge, ids are not contiguous
+@example((np.array([[0, 2], [1, 3], [2, 3]]), [7, 1000, 7, 1000, 3]))
+def test_local_edge_groups_match_reference(case):
+    edges, assignment = case
+    c = Clustering(assignment)
+    assert c.cluster_ids[c.index].tolist() == c.assignment.tolist()
+    got = list(_local_edge_groups(edges, c))
+    want = reference_local_edge_groups(edges, c)
+    assert [cid for cid, _, _ in got] == [cid for cid, _, _ in want]
+    for (_, members, local), (_, ref_members, ref_local) in zip(got, want):
+        assert members.tolist() == ref_members.tolist()
+        assert local.shape == ref_local.shape
+        assert local.tolist() == ref_local.tolist()
+
+
 def test_stats_against_brute_force():
     rng = np.random.default_rng(13)
     for _ in range(30):
@@ -53,9 +91,9 @@ def test_stats_against_brute_force():
         c = random_clustering(rng, n, int(rng.integers(1, 6)))
         g = build_csr(arr, n)
         stats = compute_stats(g, c)
-        assert set(stats) == set(int(x) for x in c.multi_cluster_ids)
+        assert list(stats) == [cid for cid, _, _ in reference_local_edge_groups(arr, c)]
         for cid, s in stats.items():
-            members = c.members(cid)
+            members = cluster_members(c, cid)
             assert s.n == len(members)
             member_set = set(members.tolist())
             intra = [

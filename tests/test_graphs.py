@@ -95,13 +95,12 @@ def test_clustering_basics():
     c = Clustering([4, 4, 9, 7, 9, 9])
     assert c.n == 6
     assert c.cluster_ids.tolist() == [4, 7, 9]
-    assert c.multi_cluster_ids.tolist() == [4, 9]
+    assert c.index.tolist() == [0, 0, 2, 1, 2, 2]
     assert c.singleton_nodes.tolist() == [3]
     assert c.clustered_mask.tolist() == [True, True, True, False, True, True]
-    assert c.members(9).tolist() == [2, 4, 5]
-    assert len(c.members(4)) == 2
-    with pytest.raises(KeyError):
-        c.members(5)
+    order, bounds = c.grouped
+    assert order.tolist() == [0, 1, 3, 2, 4, 5]
+    assert bounds.tolist() == [0, 2, 3, 6]
 
 
 def test_load_edge_list_basics(tmp_path):

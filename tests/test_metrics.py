@@ -30,12 +30,14 @@ from synnetgen.metrics import (
 from helpers import (
     ari_pair_oracle,
     brute_force_min_cut,
+    cluster_members,
     global_coefficient_oracle,
     local_coefficient_oracle,
     nmi_oracle,
     planted_reference,
     random_clustering,
     random_edge_array,
+    reference_local_edge_groups,
 )
 
 mp.dps = 50
@@ -244,9 +246,9 @@ def test_cluster_mincut_map_matches_brute_force():
         g = build_csr(arr, n)
         c = random_clustering(rng, n, 4)
         cuts = cluster_mincut_map(g, c)
-        assert set(cuts) == set(int(x) for x in c.multi_cluster_ids)
+        assert list(cuts) == [cid for cid, _, _ in reference_local_edge_groups(arr, c)]
         for cid, value in cuts.items():
-            members = c.members(cid)
+            members = cluster_members(c, cid)
             pos = {int(v): i for i, v in enumerate(members.tolist())}
             local = [
                 (pos[u], pos[v]) for u, v in arr.tolist()
@@ -262,12 +264,13 @@ def test_compute_network_stats_shapes():
     # fresh ids make nodes 0..2 singletons
     c = Clustering(np.concatenate([[100, 101, 102],
                                    random_clustering(rng, 20, 5).assignment[3:]]))
-    assert len(c.singleton_nodes) >= 3 and len(c.multi_cluster_ids)
+    multi = reference_local_edge_groups(arr, c)
+    assert len(c.singleton_nodes) >= 3 and multi
     stats = compute_network_stats(g, c)
     assert stats.degrees.tolist() == g.degrees.tolist()
     cuts = cluster_mincut_map(g, c)
     assert stats.mincuts.tolist() == [cuts[cid] for cid in sorted(cuts)]
-    assert len(stats.mincuts) == len(c.multi_cluster_ids)
+    assert len(stats.mincuts) == len(multi)
     assert stats.outlier_degrees.tolist() == g.degrees[c.singleton_nodes].tolist()
     with pytest.raises(ValueError):
         compute_network_stats(g, Clustering([0, 1]))

@@ -36,23 +36,24 @@ def small_reference():
     return g, Clustering(assignment)
 
 
-def test_merge_edge_sets_counts_overlap():
-    # the pipeline's merge of edge sets is _merge_arrays on canonical arrays
+def test_merge_arrays():
+    # disjoint canonical parts merge into their canonical sorted union
+    a = np.array([[0, 1], [1, 2]])
+    b = np.array([[0, 3], [2, 3]])
+    empty = np.empty((0, 2), dtype=np.int64)
+    assert _merge_arrays(4, [a, b]).tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
+    assert _merge_arrays(4, [empty, b, empty]).tolist() == b.tolist()
+    for parts in ([], [empty]):
+        merged = _merge_arrays(4, parts)
+        assert merged.shape == (0, 2) and merged.dtype == np.int64
+
+
+def test_merge_arrays_rejects_a_repeated_edge():
     a = np.array([[0, 1], [1, 2]])
     b = np.array([[1, 2], [2, 3]])
-    merged, dup = _merge_arrays(4, [a, b])
-    assert dup == 1
-    assert merged.tolist() == [[0, 1], [1, 2], [2, 3]]
-
-
-def test_merge_arrays():
-    a = np.array([[0, 1], [1, 2]])
-    b = np.array([[1, 2], [0, 3]])
-    merged, dups = _merge_arrays(4, [a, b])
-    assert dups == 1
-    assert merged.tolist() == [[0, 1], [0, 3], [1, 2]]
-    merged, dups = _merge_arrays(4, [])
-    assert dups == 0 and merged.shape == (0, 2)
+    with pytest.raises(PipelineError, match="1 edges repeated") as exc:
+        _merge_arrays(4, [a, b])
+    assert exc.value.stage == "merge"
 
 
 def test_build_work_items_external_degrees():
