@@ -18,6 +18,7 @@ from . import repair as rp
 from .cluster_stats import compute_stats, write_stats_csv
 from .graphs import (
     GraphFormatError,
+    _sorted_unique,
     build_csr,
     load_clustering,
     load_edge_list,
@@ -107,7 +108,7 @@ def _cmd_eval(args) -> int:
     ref = load_edge_list(args.reference)
     syn = load_edge_list(args.synthetic)
     # shared universe: every label either side mentions
-    labels = np.union1d(ref.labels, syn.labels)
+    labels = _sorted_unique(np.concatenate([ref.labels, syn.labels]))
 
     def rebuild(res):
         remap = np.searchsorted(labels, res.labels)

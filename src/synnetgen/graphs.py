@@ -4,6 +4,15 @@ Everything downstream works on simple undirected graphs. Node ids are
 densified to 0..n-1 at load time (ascending by external label) and the
 original labels are restored on output, so writing back a loaded graph
 round-trips exactly.
+
+Edge lists and clusterings are parsed by one of two paths that return the
+same (m, 2) int64 array. A file whose bytes prove it well formed (only
+ASCII digits, '-', spaces, tabs and LF or CRLF line ends; every token an
+integer of at most 18 digits; zero or two tokens on every line) is parsed
+in bulk by numpy. Any other file, with comments, other whitespace or
+anything malformed, runs a loop over its lines, which accepts what int()
+accepts and names the first bad line. A value outside int64 is such a
+line.
 """
 
 from __future__ import annotations
@@ -114,8 +123,21 @@ def build_csr(edges, n: int) -> CsrGraph:
     counts = np.bincount(src, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    order = np.lexsort((dst, src))
-    return CsrGraph(n=n, m=int(arr.shape[0]), offsets=offsets, cols=dst[order])
+    # each node's neighbors as a sorted run: sort the packed (src, dst) keys
+    cols = np.sort(src * n + dst) % n
+    return CsrGraph(n=n, m=int(arr.shape[0]), offsets=offsets, cols=cols)
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) for a 1-d integer array, by a sort and a neighbour mask.
+
+    numpy 2.x answers a plain np.unique with a hash table, which is several
+    times slower than this on large int64 arrays.
+    """
+    x = np.sort(x)
+    keep = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 # ===== Clusterings =====
@@ -163,17 +185,68 @@ class Clustering:
 # ===== File I/O =====
 
 
-def _parse_int_pairs(path):
-    """Parse a two-integer-column text file.
+# tokens the fast path admits have at most this many digits, so every one
+# fits in int64 and int() of it gives the same value
+_FAST_MAX_DIGITS = 18
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
-    Skips blank lines and lines starting with '#' or '%'. Returns a list of
-    (a, b) tuples; raises GraphFormatError naming the first offending line.
+
+def _fast_int_pairs(data: bytes):
+    """The (m, 2) array the line loop would return for data, or None.
+
+    Returns an array only when the bytes alone prove that the loop would
+    accept every line: only ASCII digits, '-', space, tab, CR and LF occur;
+    every CR ends a CRLF; every token is -?[0-9]{1,18}; and every line
+    holds zero or two tokens. Anything else returns None and goes to the
+    loop, which names the offending line.
+    """
+    if data.translate(None, b"0123456789- \t\r\n") or \
+            data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # digits and '-' are the only admitted bytes above the space
+    word = np.zeros(len(buf) + 2, dtype=bool)
+    np.greater(buf, ord(" "), out=word[1:-1])
+    starts = np.flatnonzero(word[1:] > word[:-1])
+    if not len(starts):
+        return np.empty((0, 2), dtype=np.int64)
+    ends = np.flatnonzero(word[:-1] > word[1:])
+    del word
+    # a '-' only leads a token, and at least one digit follows it
+    signed = buf[starts] == ord("-")
+    digits = ends - starts - signed
+    if data.count(b"-") != np.count_nonzero(signed) or \
+            digits.min() < 1 or digits.max() > _FAST_MAX_DIGITS:
+        return None
+    # line number of each token; tokens pair up within lines
+    line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
+    if len(line) % 2 or (line[0::2] != line[1::2]).any() or \
+            (line[2::2] <= line[1:-1:2]).any():
+        return None
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    if len(values) != len(starts):
+        return None
+    return values.reshape(-1, 2)
+
+
+def _parse_int_pairs(path) -> np.ndarray:
+    """Parse a two-integer-column text file into an (m, 2) int64 array.
+
+    Skips blank lines and lines starting with '#' or '%'; raises
+    GraphFormatError naming the first offending line. A file that
+    _fast_int_pairs proves well formed is parsed in bulk; any other runs
+    the line loop.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except FileNotFoundError:
         raise GraphFormatError(f"{path}: file not found")
+    fast = _fast_int_pairs(data)
+    if fast is not None:
+        return fast
+    # the text read_text gives: UTF-8 with universal newlines
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     pairs = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -185,12 +258,17 @@ def _parse_int_pairs(path):
                 f"{path}: line {line_no}: expected two integer columns, got {len(parts)}"
             )
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError(
                 f"{path}: line {line_no}: non-integer token in {stripped!r}"
             )
-    return pairs
+        if not (_INT64_MIN <= a <= _INT64_MAX and _INT64_MIN <= b <= _INT64_MAX):
+            raise GraphFormatError(
+                f"{path}: line {line_no}: integer outside the int64 range in {stripped!r}"
+            )
+        pairs.append((a, b))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass
@@ -216,20 +294,19 @@ def load_edge_list(path) -> LoadResult:
     Self-loops and duplicate edges (either orientation) are dropped and
     counted. The node universe is every label mentioned in the file.
     """
-    pairs = _parse_int_pairs(path)
-    if not pairs:
+    arr = _parse_int_pairs(path)
+    if not len(arr):
         raise GraphFormatError(f"{path}: no edges found")
-    arr = np.array(pairs, dtype=np.int64)
     loops = arr[:, 0] == arr[:, 1]
     self_loops = int(loops.sum())
-    labels = np.unique(arr)
+    labels = _sorted_unique(arr.ravel())
     data = arr[~loops]
     u = np.searchsorted(labels, data[:, 0])
     v = np.searchsorted(labels, data[:, 1])
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     n = len(labels)
-    keys = np.unique(lo * n + hi)
+    keys = _sorted_unique(lo * n + hi)
     duplicates = int(len(lo) - len(keys))
     edges = np.column_stack([keys // n, keys % n])
     if self_loops or duplicates:
@@ -246,6 +323,11 @@ def load_edge_list(path) -> LoadResult:
     )
 
 
+def _tsv_rows(rows: np.ndarray) -> str:
+    """An (m, 2) integer array as m "a<TAB>b" lines, built in one format."""
+    return ("%d\t%d\n" * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def write_edge_list(edges, labels, path) -> None:
     """Write a canonical edge array under its external labels, tab separated.
 
@@ -258,10 +340,8 @@ def write_edge_list(edges, labels, path) -> None:
     if arr.size == 0:
         path.write_text("", encoding="utf-8")
         return
-    ext = labels[arr]
     # labels are ascending, so external pairs stay canonical and sorted
-    out = "\n".join(f"{a}\t{b}" for a, b in ext.tolist())
-    path.write_text(out + "\n", encoding="utf-8")
+    path.write_text(_tsv_rows(labels[arr]), encoding="utf-8")
 
 
 def load_clustering(path, labels) -> Clustering:
@@ -271,7 +351,7 @@ def load_clustering(path, labels) -> Clustering:
     missing nodes are an error naming the offender. Of an unknown and a
     repeated node, the one on the earlier line is named.
     """
-    pairs = np.array(_parse_int_pairs(path), dtype=np.int64).reshape(-1, 2)
+    pairs = _parse_int_pairs(path)
     labels = np.asarray(labels)
     n = len(labels)
     idx = np.searchsorted(labels, pairs[:, 0])
@@ -305,11 +385,8 @@ def load_clustering(path, labels) -> Clustering:
 
 def write_clustering(c: Clustering, labels, path) -> None:
     """Write a clustering as "node cluster" rows sorted by node label."""
-    labels = np.asarray(labels)
-    rows = "\n".join(
-        f"{int(lab)}\t{int(cid)}" for lab, cid in zip(labels, c.assignment)
-    )
-    Path(path).write_text(rows + "\n" if rows else "", encoding="utf-8")
+    rows = np.column_stack([np.asarray(labels, dtype=np.int64), c.assignment])
+    Path(path).write_text(_tsv_rows(rows), encoding="utf-8")
 
 
 # ===== Traversal helpers =====
@@ -336,7 +413,7 @@ def bfs_distances(g: CsrGraph, source: int) -> np.ndarray:
     level = 0
     while frontier.size:
         nb = gather_neighbors(g, frontier)
-        frontier = np.unique(nb[dist[nb] < 0])
+        frontier = _sorted_unique(nb[dist[nb] < 0])
         level += 1
         dist[frontier] = level
     return dist
@@ -353,7 +430,7 @@ def connected_components(g: CsrGraph) -> np.ndarray:
         frontier = np.array([s], dtype=np.int64)
         while frontier.size:
             nb = gather_neighbors(g, frontier)
-            nb = np.unique(nb[labels[nb] < 0])
+            nb = _sorted_unique(nb[labels[nb] < 0])
             labels[nb] = current
             frontier = nb
         current += 1

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 
-from synnetgen import Clustering, build_csr
+from synnetgen import Clustering, GraphFormatError, build_csr
 from synnetgen.mincut import dense_adjacency, stoer_wagner_dense
 from synnetgen.repair import _lowest_degree_cross_pair
 from synnetgen.sbm import MAX_RETRIES, SampleReport
@@ -121,6 +122,36 @@ def write_network_files(tmp_path, edge_array, assignment, prefix="ref"):
 
 
 # ===== Oracles =====
+
+
+def reference_parse_int_pairs(path):
+    """Line-by-line parse of a two-integer-column file, as an (m, 2) int64
+    array: the loop graphs._parse_int_pairs runs on any file its bulk path
+    does not take, with the same messages."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise GraphFormatError(f"{path}: file not found")
+    pairs = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith(("#", "%")):
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise GraphFormatError(
+                f"{path}: line {line_no}: expected two integer columns, got {len(parts)}")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(
+                f"{path}: line {line_no}: non-integer token in {stripped!r}")
+        if not all(-2**63 <= x < 2**63 for x in (a, b)):
+            raise GraphFormatError(
+                f"{path}: line {line_no}: integer outside the int64 range in {stripped!r}")
+        pairs.append((a, b))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def brute_force_min_cut(n, edges):

@@ -86,6 +86,24 @@ def test_exit_code_parse_errors(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("bad", ["network", "clustering"])
+def test_label_outside_int64_exits_two(tmp_path, capsys, bad):
+    files = {"network": "1\t2\n2\t3\n", "clustering": "1\t0\n2\t0\n3\t0\n"}
+    files[bad] += "3\t99999999999999999999\n"
+    for name, text in files.items():
+        (tmp_path / f"{name}.tsv").write_text(text)
+    net, clu = tmp_path / "network.tsv", tmp_path / "clustering.tsv"
+    rc = main(["generate", "--network", str(net), "--clustering", str(clu),
+               "--out-dir", str(tmp_path / "gen")])
+    assert rc == 2
+    line = 3 if bad == "network" else 4
+    assert f"line {line}: integer outside the int64 range" in capsys.readouterr().err
+    if bad == "network":
+        rc = main(["eval", "--reference", str(net), "--synthetic", str(net),
+                   "--clustering", str(clu), "--out", str(tmp_path / "ev")])
+        assert rc == 2
+
+
 def test_exit_code_pipeline_error(tmp_path, monkeypatch):
     import synnetgen.cli as cli
 

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from synnetgen import (
     Clustering,
@@ -12,9 +15,10 @@ from synnetgen import (
     write_clustering,
     write_edge_list,
 )
-from synnetgen.graphs import gather_neighbors
+from synnetgen.graphs import _fast_int_pairs, _parse_int_pairs, _sorted_unique, \
+    gather_neighbors
 
-from helpers import random_edge_array
+from helpers import random_edge_array, reference_parse_int_pairs
 
 
 def test_edge_set_canonicalizes_and_dedups():
@@ -155,6 +159,150 @@ def test_load_edge_list_errors(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(GraphFormatError, match="no edges"):
         load_edge_list(empty)
+
+
+# (file text, message after "<path>: ") for files the loop must reject
+MALFORMED = {
+    "three tokens": ("1 2\n3 4 5\n", "line 2: expected two integer columns, got 3"),
+    "one token": ("1 2\n3\n", "line 2: expected two integer columns, got 1"),
+    "three then one": ("1 2 3\n4\n", "line 1: expected two integer columns, got 3"),
+    "non-integer": ("1 2\n3 x\n", "line 2: non-integer token in '3 x'"),
+    "lone minus": ("1 2\n- 3\n", "line 2: non-integer token in '- 3'"),
+    "trailing lone minus": ("1 2\n3 -\n", "line 2: non-integer token in '3 -'"),
+    "inner minus": ("1 2\n3 4-5\n", "line 2: non-integer token in '3 4-5'"),
+    "comment lines": ("# header\n% note\n1 2\n3\n",
+                      "line 4: expected two integer columns, got 1"),
+    "blank lines": ("\n1 2\n\n \t\n3 4 5\n", "line 5: expected two integer columns, got 3"),
+    "CRLF": ("1 2\r\n3 4\r\n5\r\n", "line 3: expected two integer columns, got 1"),
+    "CR-only": ("1 2\r3 4\r5 x\r", "line 3: non-integer token in '5 x'"),
+    "mixed tabs and spaces": ("1\t 2\n3 \t4\t 5\n",
+                              "line 2: expected two integer columns, got 3"),
+    "vertical tab": ("1\x0b2\n", "line 1: expected two integer columns, got 1"),
+    "out-of-int64": ("1 2\n3\t99999999999999999999\n",
+                     "line 2: integer outside the int64 range in '3\\t99999999999999999999'"),
+    "below int64": ("-9223372036854775809 1\n",
+                    "line 1: integer outside the int64 range in '-9223372036854775809 1'"),
+}
+
+# (file text, parsed rows, whether the bulk path takes it)
+WELL_FORMED = {
+    "LF": ("1 2\n3 4\n", [[1, 2], [3, 4]], True),
+    "CRLF": ("1 2\r\n3 4\r\n", [[1, 2], [3, 4]], True),
+    "mixed tabs and spaces": ("1\t 2\n\n \t-3 \t 004 \n", [[1, 2], [-3, 4]], True),
+    "18 digits": ("999999999999999999 -999999999999999999",
+                  [[999999999999999999, -999999999999999999]], True),
+    "blank only": ("\n \t\r\n", [], True),
+    "empty": ("", [], True),
+    "comment": ("# c\n1 2\n", [[1, 2]], False),
+    "CR-only": ("1 2\r3 4\r", [[1, 2], [3, 4]], False),
+    "int() syntax": ("+5 1_000\n", [[5, 1000]], False),
+    "non-ASCII digit": ("٣ 4\n", [[3, 4]], False),
+    "int64 extremes": ("9223372036854775807 -9223372036854775808\n",
+                       [[9223372036854775807, -9223372036854775808]], False),
+    "19-digit small": ("0000000000000000001 2\n", [[1, 2]], False),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_parse_malformed_messages(tmp_path, case):
+    text, message = MALFORMED[case]
+    p = tmp_path / "bad.tsv"
+    p.write_bytes(text.encode("utf-8"))
+    assert _fast_int_pairs(p.read_bytes()) is None
+    for parse in (_parse_int_pairs, reference_parse_int_pairs):
+        with pytest.raises(GraphFormatError) as exc:
+            parse(p)
+        assert str(exc.value) == f"{p}: {message}"
+
+
+@pytest.mark.parametrize("case", WELL_FORMED)
+def test_parse_well_formed_on_both_paths(tmp_path, case):
+    text, rows, bulk = WELL_FORMED[case]
+    p = tmp_path / "ok.tsv"
+    p.write_bytes(text.encode("utf-8"))
+    assert (_fast_int_pairs(p.read_bytes()) is not None) == bulk
+    for parse in (_parse_int_pairs, reference_parse_int_pairs):
+        got = parse(p)
+        assert got.dtype == np.int64 and got.shape == (len(rows), 2)
+        assert got.tolist() == rows
+
+
+_ADVERSARIAL = "0123456789-+_#%x \t\r\n\x0b٣"
+_FAST_NUMBERS = st.integers(-10**18 + 1, 10**18 - 1).map(str)
+_NUMBERS = st.one_of(
+    _FAST_NUMBERS,
+    st.integers(10**18, 10**19).map(lambda x: str(x) if x % 2 else f"-{x}"),
+    st.sampled_from(["-0", "007", "0000000000000000001", "9223372036854775807",
+                     "-9223372036854775808", "9223372036854775808"]),
+)
+_TOKENS = st.one_of(_NUMBERS, _NUMBERS, st.text("0123456789-+_#%x٣", min_size=1, max_size=4))
+
+
+@st.composite
+def int_pair_texts(draw):
+    """Two-column texts from an adversarial alphabet: well formed ("clean"),
+    well formed with one character inserted ("near"), loosely formed
+    ("wild"), or any string of the alphabet ("raw")."""
+    mode = draw(st.sampled_from(["clean", "near", "wild", "raw"]))
+    if mode == "raw":
+        return draw(st.text(_ADVERSARIAL, max_size=40))
+    loose = mode == "wild"
+    seps = st.sampled_from([" ", "\t", " \t", "\x0b", "\r"] if loose else [" ", "\t", " \t"])
+    ends = st.sampled_from(["\n", "\r\n", "\r", "\x0b", ""] if loose else ["\n", "\r\n"])
+    text = ""
+    for _ in range(draw(st.integers(0, 6))):
+        k = draw(st.sampled_from([2, 2, 0, 1, 3] if loose else [2, 2, 2, 0]))
+        tokens = [draw(_TOKENS if loose else _FAST_NUMBERS) for _ in range(k)]
+        text += draw(st.sampled_from(["", " "])) + "".join(t + draw(seps) for t in tokens)
+        text += draw(ends)
+    if mode == "near":
+        at = draw(st.integers(0, len(text)))
+        extra = draw(st.sampled_from(list(_ADVERSARIAL) + ["1234567890123456789"]))
+        text = text[:at] + extra + text[at:]
+    return text
+
+
+def _outcome(parse, path):
+    try:
+        arr = parse(path)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return arr.dtype.name, arr.shape, arr.tolist()
+
+
+@settings(max_examples=500)
+@given(int_pair_texts())
+@example("1 2 3\n4\n")
+@example("1 2\n3 -\n")
+@example("1 2\r3 4\n")
+@example(" \n")
+def test_parse_matches_the_line_loop(tmp_path_factory, text):
+    p = tmp_path_factory.getbasetemp() / "differential.tsv"
+    p.write_bytes(text.encode("utf-8"))
+    assert _outcome(_parse_int_pairs, p) == _outcome(reference_parse_int_pairs, p)
+
+
+def test_load_clustering_rejects_out_of_int64(tmp_path):
+    p = tmp_path / "c.tsv"
+    p.write_text("5 1\n10 18446744073709551616\n")
+    with pytest.raises(GraphFormatError, match="line 2: integer outside the int64 range"):
+        load_clustering(p, np.array([5, 10]))
+
+
+@given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=30))
+def test_sorted_unique_matches_np_unique(values):
+    x = np.array(values, dtype=np.int64)
+    got = _sorted_unique(x)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.unique(x).tolist()
+
+
+def test_deprecation_in_the_package_is_an_error():
+    # pyproject's filterwarnings turns a numpy deprecation the package
+    # triggers, such as one of np.fromstring's text mode, into a failure
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit("old", DeprecationWarning, "graphs.py", 1,
+                               module="synnetgen.graphs")
 
 
 def test_edge_list_round_trip(tmp_path):
