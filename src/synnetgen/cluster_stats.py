@@ -9,6 +9,7 @@ from a precomputed file must be interchangeable with recomputing them.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Clustering, CsrGraph, GraphFormatError
+from .graphs import Clustering, CsrGraph, GraphFormatError, _decode_input, _read_input
 from .mincut import min_cut_of_edges
 
 STATS_HEADER = ["cluster", "n", "m", "mincut"]
@@ -108,28 +109,26 @@ def read_stats_csv(path) -> dict[int, ClusterStats]:
     A cluster may have one row only, and n, m and mincut may not be negative.
     """
     path = Path(path)
-    if not path.exists():
-        raise GraphFormatError(f"{path}: file not found")
+    text = _decode_input(path, _read_input(path))
     out: dict[int, ClusterStats] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != STATS_HEADER:
-            raise GraphFormatError(f"{path}: expected header {','.join(STATS_HEADER)}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise GraphFormatError(f"{path}: row {row_no}: expected 4 columns")
-            try:
-                cid, n, m, cut = (int(x) for x in row)
-            except ValueError:
-                raise GraphFormatError(f"{path}: row {row_no}: non-integer value")
-            if min(n, m, cut) < 0:
-                raise GraphFormatError(f"{path}: row {row_no}: negative n, m or mincut")
-            if cid in out:
-                raise GraphFormatError(f"{path}: row {row_no}: cluster {cid} repeated")
-            out[cid] = ClusterStats(cluster_id=cid, n=n, m=m, mincut=cut)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != STATS_HEADER:
+        raise GraphFormatError(f"{path}: expected header {','.join(STATS_HEADER)}")
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise GraphFormatError(f"{path}: row {row_no}: expected 4 columns")
+        try:
+            cid, n, m, cut = (int(x) for x in row)
+        except ValueError:
+            raise GraphFormatError(f"{path}: row {row_no}: non-integer value")
+        if min(n, m, cut) < 0:
+            raise GraphFormatError(f"{path}: row {row_no}: negative n, m or mincut")
+        if cid in out:
+            raise GraphFormatError(f"{path}: row {row_no}: cluster {cid} repeated")
+        out[cid] = ClusterStats(cluster_id=cid, n=n, m=m, mincut=cut)
     return out
 
 

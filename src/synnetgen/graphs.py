@@ -12,7 +12,8 @@ integer of at most 18 digits; zero or two tokens on every line) is parsed
 in bulk by numpy. Any other file, with comments, other whitespace or
 anything malformed, runs a loop over its lines, which accepts what int()
 accepts and names the first bad line. A value outside int64 is such a
-line.
+line. A file that cannot be read, or holds a byte that is not UTF-8, is
+a GraphFormatError naming it (and the byte's line) like any other.
 """
 
 from __future__ import annotations
@@ -229,6 +230,25 @@ def _fast_int_pairs(data: bytes):
     return values.reshape(-1, 2)
 
 
+def _read_input(path: Path) -> bytes:
+    """An input file's bytes; a missing or unreadable one is a GraphFormatError."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise GraphFormatError(f"{path}: file not found")
+    except OSError as exc:
+        raise GraphFormatError(f"{path}: cannot read: {exc.strerror or exc}")
+
+
+def _decode_input(path: Path, data: bytes) -> str:
+    """UTF-8 text of an input file's bytes; a bad byte's line counts LFs."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GraphFormatError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8")
+
+
 def _parse_int_pairs(path) -> np.ndarray:
     """Parse a two-integer-column text file into an (m, 2) int64 array.
 
@@ -238,15 +258,12 @@ def _parse_int_pairs(path) -> np.ndarray:
     the line loop.
     """
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        raise GraphFormatError(f"{path}: file not found")
+    data = _read_input(path)
     fast = _fast_int_pairs(data)
     if fast is not None:
         return fast
     # the text read_text gives: UTF-8 with universal newlines
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    text = _decode_input(path, data).replace("\r\n", "\n").replace("\r", "\n")
     pairs = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

@@ -13,7 +13,11 @@ _finish does the rest for one variant: the per-cluster work items and
 repair, the merge, the global degree matching for "plus", and the report.
 synthesize prepares and finishes once; run_both_variants prepares once and
 finishes once per variant. Every edge set that passes from one half to the
-other is a canonical sorted int64 array.
+other is a canonical sorted int64 array, and so is what each cluster's
+repair hands back: one array of local pairs with its per-stage counts.
+After the last edge lands, a clustered node's residual deficit is read
+from the output: its reference degree in the clustered part minus its
+output degree there, where positive.
 
 With workers > 1 one process pool serves the whole call: the stats tasks
 run on it while the main process splits and draws both block models, then
@@ -126,14 +130,14 @@ def _build_work_items(split_res: SplitResult, ref_deg: np.ndarray,
                       gc_sample: np.ndarray, stats: dict) -> list:
     """Per-cluster repair inputs from the sampled clustered part, by cluster id.
 
-    ref_deg is every clustered node's degree in the clustered reference part.
+    ref_deg is every clustered node's degree in the clustered reference part;
+    a member's budget is that less its sampled edges to other clusters.
     """
     index = split_res.c_c.index
     cross = gc_sample[index[gc_sample[:, 0]] != index[gc_sample[:, 1]]]
-    ext_deg = np.bincount(cross.ravel(), minlength=len(ref_deg))
+    budget = ref_deg - np.bincount(cross.ravel(), minlength=len(ref_deg))
     return [rp.ClusterWork(cluster_id=cid, members=members, edges=local,
-                           target_cut=stats[cid].mincut, ref_deg=ref_deg[members],
-                           ext_deg=ext_deg[members])
+                           target_cut=stats[cid].mincut, budget=budget[members])
             for cid, members, local in _local_edge_groups(gc_sample, split_res.c_c)]
 
 
@@ -251,40 +255,33 @@ def _finish(prepared: _Prepared, variant: str, executor,
         outcomes = list(executor(rp.repair_cluster_task, args))
 
     with _stage(seconds, "merge"):
-        added_counts = {s: 0 for s in (rp.STAGE_MIN_DEGREE, rp.STAGE_STITCH,
-                                       rp.STAGE_MINCUT, rp.STAGE_DEGREE_MATCH)}
-        added_parent = []
-        residuals = []
-        for item, out in zip(items, outcomes):
-            for stage_name, pairs in out.added.items():
-                added_counts[stage_name] += len(pairs)
-                if pairs:
-                    local = np.array(pairs, dtype=np.int64)
-                    added_parent.append(item.members[local])
-            for lnode, d in sorted(out.residual.items()):
-                residuals.append((item.cluster_id,
-                                  int(split_res.gc_nodes[item.members[lnode]]),
-                                  int(d)))
-            report.warnings.extend(
-                f"cluster {item.cluster_id}: {w}" for w in out.warnings)
-
+        counts = np.array([out.counts for out in outcomes],
+                          dtype=np.int64).reshape(-1, len(rp.STAGES)).sum(axis=0)
+        report.warnings.extend(f"cluster {item.cluster_id}: {w}"
+                               for item, out in zip(items, outcomes) for w in out.warnings)
         # merged clustered part: sampled edges plus everything repair added
-        gc_merged = _merge_arrays(n_c, [gc_sample] + added_parent)
+        gc_merged = _merge_arrays(n_c, [gc_sample] + [
+            item.members[out.added] for item, out in zip(items, outcomes)])
 
     if variant == rp.VARIANT_PLUS:
         with _stage(seconds, "degree_match_global"):
-            cur_deg = np.bincount(gc_merged.ravel(), minlength=n_c)
-            deficits = prepared.gc_ref_deg - cur_deg
-            matched, residual = rp.match_degrees_global(gc_merged, deficits)
-            added_counts[rp.STAGE_DEGREE_MATCH] += len(matched)
+            deficits = prepared.gc_ref_deg - np.bincount(gc_merged.ravel(), minlength=n_c)
+            matched = rp.match_degrees_global(gc_merged, deficits)
+            counts[rp.STAGES.index("degree_match")] += len(matched)
             if matched:
                 gc_merged = _merge_arrays(
                     n_c, [gc_merged, np.array(matched, dtype=np.int64)])
-            for node, d in sorted(residual.items()):
-                parent = int(split_res.gc_nodes[node])
-                residuals.append((int(split_res.c_c.assignment[node]), parent, int(d)))
 
     with _stage(seconds, "merge"):
+        # a matcher leaves a node short by exactly its unmet deficit, and
+        # nothing adds an edge after matching: residuals are read from the
+        # output degrees, pp rows by (cluster id, node), plus rows by node
+        unmet = prepared.gc_ref_deg - np.bincount(gc_merged.ravel(), minlength=n_c)
+        short = np.flatnonzero(unmet > 0)
+        if variant == rp.VARIANT_PP:
+            short = short[np.argsort(split_res.c_c.index[short], kind="stable")]
+        residuals = list(zip(split_res.c_c.assignment[short].tolist(),
+                             split_res.gc_nodes[short].tolist(), unmet[short].tolist()))
         gc_parent = split_res.gc_nodes[gc_merged]
         final = _merge_arrays(prepared.g.n, [gc_parent, prepared.gs_sample])
 
@@ -294,11 +291,7 @@ def _finish(prepared: _Prepared, variant: str, executor,
             "singleton_reference": len(split_res.g_s_edges),
             "clustered_sampled": int(len(gc_sample)),
             "singleton_sampled": int(len(prepared.gs_sample)),
-            "added_min_degree": added_counts[rp.STAGE_MIN_DEGREE],
-            "added_stitch": added_counts[rp.STAGE_STITCH],
-            "added_mincut": added_counts[rp.STAGE_MINCUT],
-            "added_degree_match": added_counts[rp.STAGE_DEGREE_MATCH],
-            "merge_duplicates": 0,  # report schema; a repeat raises in the merge
+            **{f"added_{stage}": c for stage, c in zip(rp.STAGES, counts.tolist())},
             "output": int(len(final)),
         }
         report.residual_deficit_total = int(sum(r[2] for r in residuals))

@@ -12,12 +12,17 @@ global pass over the whole clustered part afterwards (edges may cross
 clusters). "pp" stitches first (those edges count toward the degree
 targets), then enforces degrees, repairs the cut, and matches degrees
 inside the cluster only.
+
+A cluster's repair returns one (k, 2) int64 array of the local pairs its
+stages added, in STAGES order, with each stage's count. The matchers
+return only their pairs; the pipeline reads what they left unmet from
+the output degrees.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +35,7 @@ VARIANT_PLUS = "plus"
 VARIANT_PP = "pp"
 VARIANTS = (VARIANT_PLUS, VARIANT_PP)
 
-STAGE_MIN_DEGREE = "min_degree"
-STAGE_STITCH = "stitch"
-STAGE_MINCUT = "mincut"
-STAGE_DEGREE_MATCH = "degree_match"
+STAGES = ("min_degree", "stitch", "mincut", "degree_match")
 
 
 @dataclass
@@ -43,43 +45,39 @@ class ClusterWork:
     members lists the cluster's node ids in the clustered subnetwork,
     ascending; edges is the canonical (m, 2) int64 array of the sampled
     intra-cluster edges in local indices (position within members).
-    ext_deg is each member's sampled degree toward the rest of the
-    network, which stays fixed during repair; ref_deg is the member's
-    reference degree in the clustered subnetwork. Repair reads an item
-    and never changes it.
+    budget is each member's reference degree in the clustered subnetwork
+    minus its sampled degree toward the rest of it, which stays fixed
+    during repair: the intra-cluster degree that degree matching aims for.
+    Repair reads an item and never changes it.
     """
 
     cluster_id: int
     members: np.ndarray
     edges: np.ndarray
     target_cut: int
-    ref_deg: np.ndarray
-    ext_deg: np.ndarray
+    budget: np.ndarray
 
 
 @dataclass
 class RepairOutcome:
-    cluster_id: int
-    added: dict = field(default_factory=dict)     # stage -> list of local pairs
-    residual: dict = field(default_factory=dict)  # local node -> unmet deficit
-    warnings: list = field(default_factory=list)
+    added: np.ndarray  # (k, 2) int64 canonical local pairs, stage by stage
+    counts: tuple      # pairs each of STAGES added, in order
+    warnings: list
 
 
 class _LocalGraph:
     """Mutable adjacency of one cluster, built from a local edge array.
 
-    edges is a private set of canonical pairs; the array it came from is
-    left as it was.
+    The array it came from is left as it was.
     """
 
-    __slots__ = ("size", "adj", "deg", "edges")
+    __slots__ = ("size", "adj", "deg")
 
     def __init__(self, size: int, edges: np.ndarray):
         self.size = size
         self.adj = [set() for _ in range(size)]
         self.deg = [0] * size
-        self.edges = set(map(tuple, edges.tolist()))
-        for u, v in self.edges:
+        for u, v in edges.tolist():
             self.adj[u].add(v)
             self.adj[v].add(u)
             self.deg[u] += 1
@@ -88,7 +86,6 @@ class _LocalGraph:
     def add(self, u: int, v: int) -> tuple[int, int]:
         if u > v:
             u, v = v, u
-        self.edges.add((u, v))
         self.adj[u].add(v)
         self.adj[v].add(u)
         self.deg[u] += 1
@@ -209,8 +206,8 @@ def _repair_mincut(lg: _LocalGraph, k: int) -> tuple[list, list]:
         floor = cut_floor(lg.adj, min(lg.deg))
         if floor >= target:
             break
-        value, side = stoer_wagner_dense(dense_adjacency(size, list(lg.edges)),
-                                         floor=floor)
+        w = dense_adjacency(size, [(u, v) for u in range(size) for v in lg.adj[u]])
+        value, side = stoer_wagner_dense(w, floor=floor)
         if value >= target:
             break
         inside = set(side)
@@ -262,13 +259,13 @@ def _deficit_matching(cur: dict, is_adjacent, add_edge):
     Repeatedly takes the most deficient node (ties toward smaller id) and
     pairs it with the most deficient node it is not yet adjacent to,
     scanning at most PARTNER_CAP live candidates before retiring it with
-    its residual deficit. Pairing only ever joins two deficient nodes, so
-    no node is pushed past its reference degree.
+    its remaining deficit unmet. Pairing only ever joins two deficient
+    nodes, so no node is pushed past its reference degree, and a node
+    that is not retired ends with no deficit. Returns the added pairs.
     """
     heap = [(-d, v) for v, d in cur.items() if d > 0]
     heapq.heapify(heap)
     added = []
-    residual = {}
     while heap:
         nd, u = heapq.heappop(heap)
         if cur.get(u, 0) != -nd:
@@ -289,7 +286,6 @@ def _deficit_matching(cur: dict, is_adjacent, add_edge):
         for entry in skipped:
             heapq.heappush(heap, entry)
         if partner is None:
-            residual[u] = cur[u]
             cur[u] = 0  # retired
             continue
         add_edge(u, partner)
@@ -300,28 +296,20 @@ def _deficit_matching(cur: dict, is_adjacent, add_edge):
             heapq.heappush(heap, (-cur[u], u))
         if cur[partner] > 0:
             heapq.heappush(heap, (-cur[partner], partner))
-    return added, residual
+    return added
 
 
-def _match_within(lg: _LocalGraph, item: ClusterWork) -> tuple[list, dict]:
+def _match_within(lg: _LocalGraph, budget: np.ndarray) -> list:
     """Deficit matching inside one cluster, on its current local graph.
 
-    Deficits count the member's full current degree (intra plus its fixed
-    outward edges) against its reference degree.
+    A member's deficit is its budget (reference degree less its fixed
+    outward edges) minus its current intra-cluster degree.
     """
-    cur = {}
-    for v in range(lg.size):
-        d = int(item.ref_deg[v]) - int(item.ext_deg[v]) - lg.deg[v]
-        if d > 0:
-            cur[v] = d
-    return _deficit_matching(
-        cur,
-        is_adjacent=lambda u, v: v in lg.adj[u],
-        add_edge=lg.add,
-    )
+    cur = {v: b - d for v, (b, d) in enumerate(zip(budget.tolist(), lg.deg)) if b > d}
+    return _deficit_matching(cur, lambda u, v: v in lg.adj[u], lg.add)
 
 
-def match_degrees_global(edges: np.ndarray, deficits: np.ndarray) -> tuple[list, dict]:
+def match_degrees_global(edges: np.ndarray, deficits: np.ndarray) -> list:
     """Degree matching over the whole clustered part; edges may cross clusters.
 
     edges is the canonical (m, 2) array of the current clustered part and
@@ -347,19 +335,17 @@ def process_cluster(item: ClusterWork, variant: str) -> RepairOutcome:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     lg = _LocalGraph(len(item.members), item.edges)
-    out = RepairOutcome(cluster_id=item.cluster_id)
     if variant == VARIANT_PP:
-        out.added[STAGE_STITCH] = _stitch(lg)
-        out.added[STAGE_MIN_DEGREE] = _enforce_min_degree(lg, item.target_cut)
+        stitched = _stitch(lg)
+        raised = _enforce_min_degree(lg, item.target_cut)
     else:
-        out.added[STAGE_MIN_DEGREE] = _enforce_min_degree(lg, item.target_cut)
-        out.added[STAGE_STITCH] = _stitch(lg)
-    cut_added, warnings = _repair_mincut(lg, item.target_cut)
-    out.added[STAGE_MINCUT] = cut_added
-    out.warnings.extend(warnings)
-    if variant == VARIANT_PP:
-        out.added[STAGE_DEGREE_MATCH], out.residual = _match_within(lg, item)
-    return out
+        raised = _enforce_min_degree(lg, item.target_cut)
+        stitched = _stitch(lg)
+    cut, warnings = _repair_mincut(lg, item.target_cut)
+    matched = _match_within(lg, item.budget) if variant == VARIANT_PP else []
+    stages = (raised, stitched, cut, matched)
+    added = np.array(raised + stitched + cut + matched, dtype=np.int64).reshape(-1, 2)
+    return RepairOutcome(added=added, counts=tuple(map(len, stages)), warnings=warnings)
 
 
 def repair_cluster_task(args) -> RepairOutcome:

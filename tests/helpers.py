@@ -7,6 +7,7 @@ share a bug with the fast implementations they check.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 
 from synnetgen import Clustering, GraphFormatError, build_csr
 from synnetgen.mincut import dense_adjacency, stoer_wagner_dense
-from synnetgen.repair import _lowest_degree_cross_pair
+from synnetgen.repair import PARTNER_CAP, _lowest_degree_cross_pair
 from synnetgen.sbm import MAX_RETRIES, SampleReport
 
 
@@ -314,6 +315,11 @@ def reference_sample_dcsbm(bm, c, weights, seed):
     return np.array(sorted(placed), dtype=np.int64).reshape(-1, 2), report
 
 
+def local_edge_set(lg):
+    """The canonical pairs of a repair _LocalGraph, read from its adjacency."""
+    return {(u, v) for u, nbrs in enumerate(lg.adj) for v in nbrs if u < v}
+
+
 def reference_repair_mincut(lg, k):
     """_repair_mincut without its cut bounds: the full kernel every round.
 
@@ -327,7 +333,7 @@ def reference_repair_mincut(lg, k):
     if size < 2 or target <= 0:
         return added, warnings
     while True:
-        value, side = stoer_wagner_dense(dense_adjacency(size, list(lg.edges)))
+        value, side = stoer_wagner_dense(dense_adjacency(size, sorted(local_edge_set(lg))))
         if value >= target:
             break
         inside = set(side)
@@ -340,6 +346,58 @@ def reference_repair_mincut(lg, k):
             break
         added.append(lg.add(*pair))
     return added, warnings
+
+
+def reference_deficit_matching(cur: dict, is_adjacent, add_edge):
+    """The greedy max-deficit matcher as it was when it also returned its
+    residuals: (added pairs, {retired node: deficit left unmet}).
+
+    Same heap, tie-breaks and PARTNER_CAP scan as repair._deficit_matching,
+    so on equal input it adds the same pairs in the same order.
+    """
+    heap = [(-d, v) for v, d in cur.items() if d > 0]
+    heapq.heapify(heap)
+    added = []
+    residual = {}
+    while heap:
+        nd, u = heapq.heappop(heap)
+        if cur.get(u, 0) != -nd:
+            continue
+        partner = None
+        skipped = []
+        scanned = 0
+        while heap and scanned < PARTNER_CAP:
+            entry = heapq.heappop(heap)
+            dv, v = -entry[0], entry[1]
+            if cur.get(v, 0) != dv:
+                continue
+            scanned += 1
+            if v != u and not is_adjacent(u, v):
+                partner = v
+                break
+            skipped.append(entry)
+        for entry in skipped:
+            heapq.heappush(heap, entry)
+        if partner is None:
+            residual[u] = cur[u]
+            cur[u] = 0
+            continue
+        add_edge(u, partner)
+        added.append((u, partner) if u < partner else (partner, u))
+        cur[u] -= 1
+        cur[partner] -= 1
+        if cur[u] > 0:
+            heapq.heappush(heap, (-cur[u], u))
+        if cur[partner] > 0:
+            heapq.heappush(heap, (-cur[partner], partner))
+    return added, residual
+
+
+def unmet_deficits(deficits, added):
+    """{node: deficit left} after the pairs added: the pipeline's residual
+    rule, deficit minus the degree the pairs gave, where positive."""
+    deg = Counter(v for pair in added for v in pair)
+    return {v: int(d) - deg[v] for v, d in enumerate(deficits) if d > deg[v]}
 
 
 def nmi_oracle(a, b):

@@ -180,11 +180,10 @@ def test_degree_matching_monotonicity():
             members=np.arange(size, dtype=np.int64),
             edges=np.array(sorted(edges), dtype=np.int64).reshape(-1, 2),
             target_cut=1,
-            ref_deg=ref,
-            ext_deg=ext,
+            budget=ref - ext,
         )
         before = rmse(ref, deg + ext)
-        added, _ = _match_within(_LocalGraph(size, item.edges), item)
+        added = _match_within(_LocalGraph(size, item.edges), item.budget)
         after_deg = np.zeros(size, dtype=np.int64)
         for u, v in sorted(edges) + added:
             after_deg[u] += 1

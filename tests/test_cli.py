@@ -104,6 +104,42 @@ def test_label_outside_int64_exits_two(tmp_path, capsys, bad):
         assert rc == 2
 
 
+@pytest.mark.parametrize("bad", ["network", "clustering", "stats", "directory"])
+def test_undecodable_or_unreadable_input_exits_two(tmp_path, capsys, bad):
+    files = {"network": b"1\t2\n2\t3\n", "clustering": b"1\t0\n2\t0\n3\t0\n",
+             "stats": b"cluster,n,m,mincut\n0,3,2,1\n"}
+    undecodable = {"network": b"1\t2\n\xff2\t3\n", "clustering": b"1\t0\n\xff2\t0\n3\t0\n",
+                   "stats": b"cluster,n,m,mincut\n0\xff,3,2,1\n"}
+    if bad in undecodable:
+        files[bad] = undecodable[bad]
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    net = tmp_path / "network"
+    if bad == "directory":
+        net = tmp_path / "a_directory"
+        net.mkdir()
+    rc = main(["generate", "--network", str(net), "--clustering",
+               str(tmp_path / "clustering"), "--stats-file", str(tmp_path / "stats"),
+               "--out-dir", str(tmp_path / "gen")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    if bad == "directory":
+        assert f"error: {net}: cannot read: " in err
+    else:
+        assert f"error: {tmp_path / bad}: line 2: byte 0xff is not UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_eval_undecodable_network_exits_two(tmp_path, capsys):
+    net, clu = tmp_path / "net.tsv", tmp_path / "clu.tsv"
+    net.write_bytes(b"1\t2\n2\t3\n3\t1\n\xff")
+    clu.write_bytes(b"1\t0\n2\t0\n3\t0\n")
+    rc = main(["eval", "--reference", str(net), "--synthetic", str(net),
+               "--clustering", str(clu), "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    assert f"{net}: line 4: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+
 def test_exit_code_pipeline_error(tmp_path, monkeypatch):
     import synnetgen.cli as cli
 

@@ -305,6 +305,13 @@ def test_deprecation_in_the_package_is_an_error():
                                module="synnetgen.graphs")
 
 
+def test_runtime_warning_in_the_package_is_an_error():
+    # likewise an overflow or NaN that numpy reports from package code
+    with pytest.raises(RuntimeWarning):
+        warnings.warn_explicit("overflow", RuntimeWarning, "mincut.py", 1,
+                               module="synnetgen.mincut")
+
+
 def test_edge_list_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     for trial in range(10):

@@ -69,11 +69,13 @@ def test_build_work_items_external_degrees():
     assert [it.cluster_id for it in items] == [0, 1]
     assert items[0].edges.tolist() == [[0, 1]]
     assert items[1].edges.shape == (0, 2)
-    # node 1 has the inter edge; cluster-1 side lands on node 2
-    assert items[0].ext_deg.tolist() == [0, 1]
-    assert items[1].ext_deg.tolist() == [1, 0]
     # reference degrees restricted to the clustered subnetwork
-    assert items[0].ref_deg.tolist() == [1, 2]
+    assert ref_deg.tolist() == [1, 2, 2, 1]
+    # budget is reference degree less the sampled inter-cluster degree:
+    # node 1 has the inter edge; cluster-1 side lands on node 2
+    assert (ref_deg[items[0].members] - items[0].budget).tolist() == [0, 1]
+    assert (ref_deg[items[1].members] - items[1].budget).tolist() == [1, 0]
+    assert items[0].budget.tolist() == [1, 1]
 
 
 def test_unknown_variant_raises():
@@ -94,8 +96,7 @@ def test_structural_guarantees_both_variants(small_reference):
         additions = (ec["added_min_degree"] + ec["added_stitch"]
                      + ec["added_mincut"] + ec["added_degree_match"])
         assert ec["output"] == (ec["clustered_sampled"] + additions
-                                + ec["singleton_sampled"]
-                                - ec["merge_duplicates"])
+                                + ec["singleton_sampled"])
         assert ec["output"] == len(result.edges)
         assert ec["reference"] == g.m
 
@@ -319,3 +320,26 @@ def test_run_both_variants_prepares_once(tmp_path, small_reference, monkeypatch)
     run_both_variants(net, clu, tmp_path / "both", seed=12)
     # stats once, and one clustered plus one singleton draw
     assert calls == {"cluster_edge_tables": 1, "sample_dcsbm": 2}
+
+
+# clusters 7 (even nodes 0-10) and 3 (odd nodes 1-11) interleave in node
+# id; node 12 is a singleton. File labels are 5 * node + 1.
+INTERLEAVED_EDGES = [
+    (0, 4), (0, 6), (0, 10), (1, 5), (2, 8), (2, 10), (3, 9), (3, 11), (4, 7),
+    (4, 8), (4, 10), (5, 6), (5, 9), (6, 10), (7, 11), (8, 9), (8, 10), (8, 11),
+    (9, 11), (9, 12), (10, 12),
+]
+
+
+def test_residual_rows_follow_each_variants_order(tmp_path):
+    # pp rows go by (cluster id, node), plus rows by node alone, so with
+    # interleaved clusters neither order is the other's
+    net, clu = tmp_path / "net.tsv", tmp_path / "clu.tsv"
+    net.write_text("".join(f"{5 * u + 1}\t{5 * v + 1}\n" for u, v in INTERLEAVED_EDGES))
+    clu.write_text("".join(f"{5 * v + 1}\t{7 if v % 2 == 0 else 3}\n" for v in range(12))
+                   + "61\t20\n")
+    run_both_variants(net, clu, tmp_path / "out", seed=1)
+    rows = {variant: (tmp_path / "out" / variant / pipeline.RESIDUALS_FILE)
+            .read_text().splitlines() for variant in ("plus", "pp")}
+    assert rows["plus"] == ["cluster,node,deficit", "3,46,1", "7,51,1", "3,56,1"]
+    assert rows["pp"] == ["cluster,node,deficit", "3,46,2", "3,56,2", "7,51,3"]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from synnetgen import (
     ClusterWork,
@@ -13,6 +14,7 @@ from synnetgen import mincut, repair
 from synnetgen.mincut import MinCutSizeError, stoer_wagner_dense
 from synnetgen.repair import (
     PARTNER_CAP,
+    STAGES,
     _deficit_matching,
     _enforce_min_degree,
     _LocalGraph,
@@ -24,9 +26,12 @@ from synnetgen.repair import (
 
 from helpers import (
     brute_force_min_cut,
+    local_edge_set,
     min_edges_for_degree_floor,
     random_edge_array,
+    reference_deficit_matching,
     reference_repair_mincut,
+    unmet_deficits,
 )
 
 
@@ -37,13 +42,14 @@ def canon(edges):
 
 
 def work(size, edges, k=1, ref=None, ext=None, cid=0):
+    ref = np.array(ref if ref is not None else [0] * size, dtype=np.int64)
+    ext = np.array(ext if ext is not None else [0] * size, dtype=np.int64)
     return ClusterWork(
         cluster_id=cid,
         members=np.arange(size, dtype=np.int64),
         edges=canon(edges),
         target_cut=k,
-        ref_deg=np.array(ref if ref is not None else [0] * size, dtype=np.int64),
-        ext_deg=np.array(ext if ext is not None else [0] * size, dtype=np.int64),
+        budget=ref - ext,
     )
 
 
@@ -53,9 +59,11 @@ def local(size, edges):
 
 
 def match_within(item):
-    """Per-cluster degree matching as process_cluster runs it: on the
-    item's local graph."""
-    return _match_within(_LocalGraph(len(item.members), item.edges), item)
+    """Per-cluster degree matching as process_cluster runs it, on the
+    item's local graph: (added pairs, deficits the pipeline reads as
+    residual from the degrees after them)."""
+    added = _match_within(_LocalGraph(len(item.members), item.edges), item.budget)
+    return added, unmet_deficits(deficits_of(item), added)
 
 
 def with_added(item, *added):
@@ -68,7 +76,23 @@ def with_added(item, *added):
 
 def repaired(item, out):
     """The cluster's edges after process_cluster returned outcome out."""
-    return with_added(item, *out.added.values())
+    return with_added(item, map(tuple, out.added.tolist()))
+
+
+def stage_pairs(out):
+    """stage -> the pairs it added, cut from out.added by out.counts."""
+    parts = np.split(out.added, np.cumsum(out.counts)[:-1])
+    return {stage: list(map(tuple, part.tolist())) for stage, part in zip(STAGES, parts)}
+
+
+def deficits_of(item):
+    """Each member's budget less its sampled intra-cluster degree."""
+    return item.budget - degrees_of(item.edges.tolist(), len(item.members))
+
+
+def residual_of(item, out):
+    """Deficits left after process_cluster, by the pipeline's residual rule."""
+    return unmet_deficits(deficits_of(item), out.added.tolist())
 
 
 def degrees_of(edges, size):
@@ -107,20 +131,20 @@ def test_enforce_min_degree_isolated_nodes():
     lg = local(4, [])
     added = _enforce_min_degree(lg, 1)
     assert len(added) >= 2
-    assert min(degrees_of(lg.edges, 4)) >= 1
+    assert min(degrees_of(local_edge_set(lg), 4)) >= 1
 
 
 def test_enforce_min_degree_idempotent_on_cycle():
     c4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
     lg = local(4, c4)
     assert _enforce_min_degree(lg, 2) == []
-    assert len(lg.edges) == 4
+    assert len(local_edge_set(lg)) == 4
 
 
 def test_enforce_min_degree_five_isolated_k2():
     lg = local(5, [])
     added = _enforce_min_degree(lg, 2)
-    deg = degrees_of(lg.edges, 5)
+    deg = degrees_of(local_edge_set(lg), 5)
     assert min(deg) >= 2
     # exhaustive minimum is 5 edges; greedy pairing achieves it here
     assert min_edges_for_degree_floor(5, [], 2) == 5
@@ -138,12 +162,12 @@ def test_enforce_min_degree_between_oracle_and_greedy_bound():
             if rng.random() < 0.3
         ]
         lg = local(size, edges)
-        before = degrees_of(lg.edges, size)
+        before = degrees_of(local_edge_set(lg), size)
         total_deficit = sum(max(0, t - d) for d in before)
         added = _enforce_min_degree(lg, k)
-        deg = degrees_of(lg.edges, size)
+        deg = degrees_of(local_edge_set(lg), size)
         assert min(deg) >= t
-        assert set(edges) <= lg.edges  # only additions
+        assert set(edges) <= local_edge_set(lg)  # only additions
         oracle = min_edges_for_degree_floor(size, edges, t)
         assert oracle <= len(added) <= total_deficit
 
@@ -152,7 +176,7 @@ def test_stitch_two_disjoint_edges():
     lg = local(4, [(0, 1), (2, 3)])
     added = _stitch(lg)
     assert len(added) == 1
-    assert len(components_of(lg.edges, 4)) == 1
+    assert len(components_of(local_edge_set(lg), 4)) == 1
 
 
 def test_stitch_connected_is_noop():
@@ -165,7 +189,7 @@ def test_stitch_three_components_chains_min_degree_reps():
     lg = local(6, [(1, 2), (3, 4), (4, 5)])
     added = _stitch(lg)
     assert added == [(0, 1), (1, 3)]
-    assert len(components_of(lg.edges, 6)) == 1
+    assert len(components_of(local_edge_set(lg), 6)) == 1
 
 
 def test_stitch_oracle_random():
@@ -186,7 +210,7 @@ def test_stitch_oracle_random():
         ]
         added = _stitch(lg)
         assert added == expect
-        assert len(components_of(lg.edges, size)) == 1
+        assert len(components_of(local_edge_set(lg), size)) == 1
 
 
 def test_repair_mincut_path_to_two():
@@ -194,7 +218,7 @@ def test_repair_mincut_path_to_two():
     added, warnings = _repair_mincut(lg, 2)
     assert warnings == []
     assert len(added) >= 1
-    assert brute_force_min_cut(4, lg.edges) >= 2
+    assert brute_force_min_cut(4, local_edge_set(lg)) >= 2
 
 
 def test_repair_mincut_k4_noop():
@@ -216,11 +240,11 @@ def test_repair_mincut_random_eight_node():
             continue
         trials += 1
         lg = local(8, edges)
-        before = set(lg.edges)
+        before = local_edge_set(lg)
         added, _ = _repair_mincut(lg, 3)
-        assert before <= lg.edges
-        assert len(lg.edges) == len(before) + len(added)
-        assert brute_force_min_cut(8, lg.edges) >= 3
+        assert before <= local_edge_set(lg)
+        assert len(local_edge_set(lg)) == len(before) + len(added)
+        assert brute_force_min_cut(8, local_edge_set(lg)) >= 3
 
 
 def test_repair_mincut_refuses_cluster_over_size_guard(monkeypatch):
@@ -246,9 +270,9 @@ def test_repair_mincut_matches_kernel_every_round():
         if rng.random() < 0.5:
             _enforce_min_degree(lg, k)
             _stitch(lg)
-        ref = _LocalGraph(size, canon(lg.edges))
+        ref = _LocalGraph(size, canon(local_edge_set(lg)))
         assert _repair_mincut(lg, k) == reference_repair_mincut(ref, k)
-        assert lg.edges == ref.edges
+        assert local_edge_set(lg) == local_edge_set(ref)
 
 
 def test_repair_mincut_kernel_calls(monkeypatch):
@@ -270,14 +294,14 @@ def test_repair_mincut_kernel_calls(monkeypatch):
     bridged = local(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
     added, _ = _repair_mincut(bridged, 2)
     assert added and calls
-    assert brute_force_min_cut(6, bridged.edges) >= 2
+    assert brute_force_min_cut(6, local_edge_set(bridged)) >= 2
 
 
 def test_repair_mincut_target_clamped_by_size():
     # size 3, k=5: target is 2, reachable
     lg = local(3, [(0, 1), (1, 2)])
     _repair_mincut(lg, 5)
-    assert brute_force_min_cut(3, lg.edges) >= 2
+    assert brute_force_min_cut(3, local_edge_set(lg)) >= 2
 
 
 def test_match_per_cluster_triangle():
@@ -403,29 +427,32 @@ def test_match_residual_at_least_optimum():
 def test_match_global_star_not_overshoot():
     # highest-deficit node takes both edges; partners reach zero deficit
     edges = canon([])
-    added, residual = match_degrees_global(edges, np.array([2, 1, 1]))
+    deficits = np.array([2, 1, 1])
+    added = match_degrees_global(edges, deficits)
     assert sorted(added) == [(0, 1), (0, 2)]
     assert edges.shape == (0, 2)
-    assert residual == {}
+    assert unmet_deficits(deficits, added) == {}
 
 
 def test_match_global_zero_deficits_noop():
     edges = canon([(0, 1)])
-    added, residual = match_degrees_global(edges, np.zeros(4, dtype=np.int64))
-    assert added == [] and residual == {}
+    deficits = np.zeros(4, dtype=np.int64)
+    added = match_degrees_global(edges, deficits)
+    assert added == [] and unmet_deficits(deficits, added) == {}
     assert edges.tolist() == [[0, 1]]
 
 
 def test_match_global_residual_when_saturated():
     edges = canon([(0, 1)])
-    added, residual = match_degrees_global(edges, np.array([3, 1]))
+    deficits = np.array([3, 1])
+    added = match_degrees_global(edges, deficits)
     assert added == []
-    assert residual == {0: 3, 1: 1}
+    assert unmet_deficits(deficits, added) == {0: 3, 1: 1}
 
 
 def test_match_global_crosses_clusters():
     # two nodes in different clusters can still pair: nothing restricts ids
-    added, _ = match_degrees_global(canon([]), np.array([0, 1, 0, 1]))
+    added = match_degrees_global(canon([]), np.array([0, 1, 0, 1]))
     assert added == [(1, 3)]
 
 
@@ -433,14 +460,14 @@ def test_match_global_leaves_its_array_unchanged():
     rng = np.random.default_rng(111)
     arr = random_edge_array(rng, 40, 0.2)
     before = arr.copy()
-    added, _ = match_degrees_global(arr, rng.integers(0, 5, size=40))
+    added = match_degrees_global(arr, rng.integers(0, 5, size=40))
     assert added
     assert arr.tolist() == before.tolist()
 
 
 def test_match_global_equals_matching_over_all_edges():
     # the matcher keeps only edges between two deficient nodes; matching
-    # over the full edge set must give exactly the same pairs and residual
+    # over the full edge set must give exactly the same pairs
     rng = np.random.default_rng(113)
     for _ in range(60):
         n = int(rng.integers(2, 120))
@@ -463,15 +490,15 @@ def test_partner_cap_retires_after_scan():
     size = PARTNER_CAP + 3
     edges = canon((0, v) for v in range(1, size))
     deficits = np.array([4] + [1] * (size - 1))
-    added, residual = match_degrees_global(edges, deficits)
-    assert residual.get(0) == 4
+    added = match_degrees_global(edges, deficits)
+    assert unmet_deficits(deficits, added).get(0) == 4
     # the remaining nodes pair among themselves
     assert len(added) == (size - 1) // 2
     # with the last two spokes gone, free partners sit past the cap: node 0
     # still retires after scanning PARTNER_CAP adjacent candidates
     edges = canon((0, v) for v in range(1, PARTNER_CAP + 1))
-    added, residual = match_degrees_global(edges, deficits)
-    assert residual.get(0) == 4
+    added = match_degrees_global(edges, deficits)
+    assert unmet_deficits(deficits, added).get(0) == 4
     assert all(0 not in pair for pair in added)
 
 
@@ -480,8 +507,8 @@ def test_process_cluster_satisfied_is_noop():
     for variant in ("plus", "pp"):
         item = work(4, c4, k=2, ref=[2, 2, 2, 2])
         out = process_cluster(item, variant)
-        assert sum(map(len, out.added.values())) == 0
-        assert out.residual == {}
+        assert len(out.added) == 0 and sum(out.counts) == 0
+        assert residual_of(item, out) == {}
 
 
 def test_process_cluster_postconditions_small():
@@ -491,7 +518,7 @@ def test_process_cluster_postconditions_small():
     deg = degrees_of(edges, 4)
     assert min(deg) >= 1
     assert len(components_of(edges, 4)) == 1
-    assert sum(map(len, out.added.values())) == len(edges)
+    assert len(out.added) == sum(out.counts) == len(edges)
 
 
 def test_process_cluster_pp_sampled_ten_nodes():
@@ -509,15 +536,16 @@ def test_process_cluster_pp_sampled_ten_nodes():
         assert min(deg) >= 2
         assert len(components_of(out_edges, 10)) == 1
         assert brute_force_min_cut(10, out_edges) >= 2
-        for stage in ("stitch", "min_degree", "mincut", "degree_match"):
-            assert stage in out.added
+        assert list(stage_pairs(out)) == ["min_degree", "stitch", "mincut", "degree_match"]
 
 
 def test_process_cluster_plus_has_no_degree_match_stage():
     item = work(5, [(0, 1)], k=1, ref=[2] * 5)
     out = process_cluster(item, "plus")
-    assert "degree_match" not in out.added
-    assert out.residual == {}
+    assert stage_pairs(out)["degree_match"] == []
+    # plus leaves the deficits of 3 and 4 to the global pass; pp meets them
+    assert residual_of(item, out) == {3: 1, 4: 1}
+    assert residual_of(item, process_cluster(item, "pp")) == {}
 
 
 def test_process_cluster_rejects_unknown_variant():
@@ -538,11 +566,11 @@ def test_variants_order_stages_differently():
         assert min(degrees_of(repaired(item, out), 4)) >= 1
         assert len(components_of(repaired(item, out), 4)) == 1
     # pp: the stitch edge already satisfies min degree, nothing more needed
-    assert len(pp_out.added["stitch"]) == 1
-    assert pp_out.added["min_degree"] == []
+    assert len(stage_pairs(pp_out)["stitch"]) == 1
+    assert stage_pairs(pp_out)["min_degree"] == []
     # plus: degrees were already >= 1 before stitching
-    assert plus_out.added["min_degree"] == []
-    assert len(plus_out.added["stitch"]) == 1
+    assert stage_pairs(plus_out)["min_degree"] == []
+    assert len(stage_pairs(plus_out)["stitch"]) == 1
 
 
 def test_process_cluster_deterministic():
@@ -555,8 +583,9 @@ def test_process_cluster_deterministic():
     for _ in range(3):
         item = work(12, list(edges), k=2, ref=ref)
         outs.append(process_cluster(item, "pp"))
-    assert outs[0].added == outs[1].added == outs[2].added
-    assert outs[0].residual == outs[1].residual
+    assert outs[0].added.tolist() == outs[1].added.tolist() == outs[2].added.tolist()
+    assert outs[0].counts == outs[1].counts == outs[2].counts
+    assert residual_of(item, outs[0]) == residual_of(item, outs[1])
 
 
 def test_repair_leaves_work_items_unchanged():
@@ -569,9 +598,84 @@ def test_repair_leaves_work_items_unchanged():
         item = work(12, edges, k=3, ref=ref)
         before = item.edges.copy()
         out = process_cluster(item, variant)
-        assert sum(map(len, out.added.values())) > 0
+        assert len(out.added) > 0
         assert item.edges.tolist() == before.tolist()
     item = work(12, edges, ref=ref)
     added, _ = match_within(item)
     assert added
     assert item.edges.tolist() == canon(edges).tolist()
+
+
+def edge_lists(n, max_size=None):
+    """Strategy: a list of distinct canonical pairs over n nodes."""
+    pairs = list(itertools.combinations(range(n), 2))
+    if not pairs:
+        return st.just([])
+    return st.lists(st.sampled_from(pairs), unique=True, max_size=max_size)
+
+
+@st.composite
+def deficit_graphs(draw):
+    """(n, edges, deficits): a random graph with deficits in -2..6, or hub
+    0 adjacent to the first m of its equally deficient candidates, with m
+    around PARTNER_CAP, so that it retires or finds a partner at the cap."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 40))
+        edges = draw(edge_lists(n, max_size=3 * n))
+        deficits = draw(st.lists(st.integers(-2, 6), min_size=n, max_size=n))
+        return n, edges, deficits
+    m = draw(st.integers(PARTNER_CAP - 2, PARTNER_CAP + 2))
+    n = m + 1 + draw(st.integers(0, 3))
+    edges = {(0, v) for v in range(1, m + 1)} | set(draw(edge_lists(n, max_size=n)))
+    other = draw(st.integers(1, 2))
+    deficits = [draw(st.integers(other + 1, 6))] + [other] * (n - 1)
+    return n, sorted(edges), deficits
+
+
+@settings(max_examples=300)
+@given(deficit_graphs())
+@example((PARTNER_CAP + 3, [(0, v) for v in range(1, PARTNER_CAP + 3)],
+          [4] + [1] * (PARTNER_CAP + 2)))
+def test_deficit_matching_matches_the_residual_oracle(case):
+    # the matcher returns only its pairs; the deficits the pipeline reads
+    # back from the degrees must equal the residuals the old matcher kept
+    n, edges, deficits = case
+    graphs = {"got": set(edges), "ref": set(edges)}
+
+    def adjacency(name):
+        return (lambda u, v: (min(u, v), max(u, v)) in graphs[name],
+                lambda u, v: graphs[name].add((min(u, v), max(u, v))))
+
+    cur = {v: d for v, d in enumerate(deficits) if d != 0}
+    added = _deficit_matching(dict(cur), *adjacency("got"))
+    expect, residual = reference_deficit_matching(dict(cur), *adjacency("ref"))
+    assert added == expect
+    assert unmet_deficits(deficits, added) == residual
+
+
+@st.composite
+def cluster_items(draw):
+    size = draw(st.integers(1, 12))
+    return ClusterWork(
+        cluster_id=draw(st.integers(0, 9)),
+        members=np.arange(size, dtype=np.int64) * 3 + 5,
+        edges=canon(draw(edge_lists(size))),
+        target_cut=draw(st.integers(0, 5)),
+        budget=np.array(draw(st.lists(st.integers(-2, 12), min_size=size,
+                                      max_size=size)), dtype=np.int64),
+    )
+
+
+@settings(max_examples=200)
+@given(cluster_items(), st.sampled_from(["plus", "pp"]))
+def test_process_cluster_returns_one_array_of_new_local_pairs(item, variant):
+    out = process_cluster(item, variant)
+    assert len(out.counts) == len(STAGES)
+    assert sum(out.counts) == len(out.added)
+    assert out.added.dtype == np.int64 and out.added.shape == (len(out.added), 2)
+    rows = list(map(tuple, out.added.tolist()))
+    assert all(0 <= u < v < len(item.members) for u, v in rows)
+    assert len(set(rows)) == len(rows)
+    assert not set(rows) & set(map(tuple, item.edges.tolist()))
+    if variant == "plus":
+        assert out.counts[STAGES.index("degree_match")] == 0
