@@ -160,17 +160,14 @@ def mixing_parameter(g: CsrGraph, c: Clustering,
     Singleton nodes sit in their own clusters, so their edges always cross.
     """
     arr = g.edge_array()
+    crossing = c.index[arr[:, 0]] != c.index[arr[:, 1]]
     if mode == MIXING_EDGE_FRACTION:
         if g.m == 0:
             return 0.0
-        crossing = c.index[arr[:, 0]] != c.index[arr[:, 1]]
         return float(crossing.sum()) / float(g.m)
     if mode == MIXING_NODE_MEAN:
         deg = g.degrees
-        cross_deg = np.zeros(g.n, dtype=np.int64)
-        crossing = arr[c.index[arr[:, 0]] != c.index[arr[:, 1]]]
-        np.add.at(cross_deg, crossing[:, 0], 1)
-        np.add.at(cross_deg, crossing[:, 1], 1)
+        cross_deg = np.bincount(arr[crossing].ravel(), minlength=g.n)
         has_deg = deg > 0
         if not has_deg.any():
             return 0.0
@@ -181,8 +178,6 @@ def mixing_parameter(g: CsrGraph, c: Clustering,
 def outlier_clustered_edge_count(g: CsrGraph, c: Clustering) -> int:
     """Edges with exactly one singleton endpoint."""
     arr = g.edge_array()
-    if not arr.size:
-        return 0
     single = ~c.clustered_mask
     return int((single[arr[:, 0]] ^ single[arr[:, 1]]).sum())
 

@@ -13,6 +13,10 @@ clusters). "pp" stitches first (those edges count toward the degree
 targets), then enforces degrees, repairs the cut, and matches degrees
 inside the cluster only.
 
+Degree enforcement and both degree matching modes run one greedy loop,
+_deficit_matching, over a neighbour-set adjacency whose set sizes are
+the degrees: enforcement aims at the floor, matching at the reference.
+
 A cluster's repair returns one (k, 2) int64 array of the local pairs its
 stages added, in STAGES order, with each stage's count. The matchers
 return only their pairs; the pipeline reads what they left unmet from
@@ -68,28 +72,24 @@ class RepairOutcome:
 class _LocalGraph:
     """Mutable adjacency of one cluster, built from a local edge array.
 
-    The array it came from is left as it was.
+    A member's degree is len(adj[v]). The array it came from is left as
+    it was.
     """
 
-    __slots__ = ("size", "adj", "deg")
+    __slots__ = ("size", "adj")
 
     def __init__(self, size: int, edges: np.ndarray):
         self.size = size
         self.adj = [set() for _ in range(size)]
-        self.deg = [0] * size
         for u, v in edges.tolist():
             self.adj[u].add(v)
             self.adj[v].add(u)
-            self.deg[u] += 1
-            self.deg[v] += 1
 
     def add(self, u: int, v: int) -> tuple[int, int]:
         if u > v:
             u, v = v, u
         self.adj[u].add(v)
         self.adj[v].add(u)
-        self.deg[u] += 1
-        self.deg[v] += 1
         return (u, v)
 
 
@@ -102,53 +102,21 @@ def _enforce_min_degree(lg: _LocalGraph, k: int) -> list:
     """Raise every member's intra-cluster degree to min(max(1, k), size-1).
 
     Deficient nodes pair most-deficient-first; a node with no deficient
-    partner takes the lowest-degree non-adjacent member. Returns the added
-    local edges.
+    partner takes the lowest-degree non-adjacent member, ties by id.
+    Returns the added local edges.
     """
     size = lg.size
-    added = []
     if size < 2:
-        return added
+        return []
     t = min_degree_target(k, size)
-    heap = [(-(t - lg.deg[v]), v) for v in range(size) if lg.deg[v] < t]
-    heapq.heapify(heap)
-    while heap:
-        nd, u = heapq.heappop(heap)
-        if t - lg.deg[u] != -nd:
-            continue
-        # try the most deficient compatible partner first
-        partner = None
-        skipped = []
-        while heap:
-            entry = heapq.heappop(heap)
-            dv, v = -entry[0], entry[1]
-            if t - lg.deg[v] != dv:
-                continue
-            if v != u and v not in lg.adj[u]:
-                partner = v
-                break
-            skipped.append(entry)
-        for entry in skipped:
-            heapq.heappush(heap, entry)
-        if partner is None:
-            # fall back to the lowest-degree member u is not adjacent to
-            best = None
-            for v in range(size):
-                if v == u or v in lg.adj[u]:
-                    continue
-                key = (lg.deg[v], v)
-                if best is None or key < best:
-                    best = key
-                    partner = v
-            if partner is None:
-                # deg[u] < t <= size-1 guarantees a non-neighbor exists
-                raise AssertionError("no non-adjacent partner for deficient node")
-        added.append(lg.add(u, partner))
-        for w in (u, partner):
-            d = t - lg.deg[w]
-            if d > 0:
-                heapq.heappush(heap, (-d, w))
-    return added
+    adj = lg.adj
+    cur = {v: t - len(nbrs) for v, nbrs in enumerate(adj) if len(nbrs) < t}
+    if not cur:
+        return []
+    # deg[u] < t <= size-1 leaves every deficient u a non-neighbour
+    return _deficit_matching(cur, adj, cap=size, fallback=lambda u: min(
+        (v for v in range(size) if v != u and v not in adj[u]),
+        key=lambda v: (len(adj[v]), v)))
 
 
 def _local_components(lg: _LocalGraph) -> list:
@@ -182,7 +150,7 @@ def _stitch(lg: _LocalGraph) -> list:
     if len(comps) <= 1:
         return []
     # per-component representative picked before any stitch edge lands
-    reps = [min(comp, key=lambda v: (lg.deg[v], v)) for comp in comps]
+    reps = [min(comp, key=lambda v: (len(lg.adj[v]), v)) for comp in comps]
     return [lg.add(a, b) for a, b in zip(reps, reps[1:])]
 
 
@@ -203,7 +171,7 @@ def _repair_mincut(lg: _LocalGraph, k: int) -> tuple[list, list]:
         return added, warnings
     check_size(size)
     while True:
-        floor = cut_floor(lg.adj, min(lg.deg))
+        floor = cut_floor(lg.adj, min(map(len, lg.adj)))
         if floor >= target:
             break
         w = dense_adjacency(size, [(u, v) for u in range(size) for v in lg.adj[u]])
@@ -212,7 +180,7 @@ def _repair_mincut(lg: _LocalGraph, k: int) -> tuple[list, list]:
             break
         inside = set(side)
         other = [v for v in range(size) if v not in inside]
-        pair = _lowest_degree_cross_pair(lg, sorted(inside), other)
+        pair = _lowest_degree_cross_pair(lg, side, other)
         if pair is None:
             warnings.append(
                 f"cut saturated at {value} (target {target}), no addable pair"
@@ -229,15 +197,16 @@ def _lowest_degree_cross_pair(lg: _LocalGraph, side_a: list, side_b: list):
     ((deg, id) per endpoint). Returns None if every cross pair is already
     an edge.
     """
-    a_sorted = sorted(side_a, key=lambda v: (lg.deg[v], v))
-    b_sorted = sorted(side_b, key=lambda v: (lg.deg[v], v))
+    deg = list(map(len, lg.adj))
+    a_sorted = sorted(side_a, key=lambda v: (deg[v], v))
+    b_sorted = sorted(side_b, key=lambda v: (deg[v], v))
     best = None
     best_pair = None
     for a in a_sorted:
-        if best is not None and lg.deg[a] + lg.deg[b_sorted[0]] > best[0]:
+        if best is not None and deg[a] + deg[b_sorted[0]] > best[0]:
             break
         for b in b_sorted:
-            s = lg.deg[a] + lg.deg[b]
+            s = deg[a] + deg[b]
             if best is not None and s > best[0]:
                 break
             if b in lg.adj[a]:
@@ -252,46 +221,55 @@ def _lowest_degree_cross_pair(lg: _LocalGraph, side_a: list, side_b: list):
     return best_pair
 
 
-def _deficit_matching(cur: dict, is_adjacent, add_edge):
-    """Greedy max-deficit pairing shared by both degree matching modes.
+def _deficit_matching(cur: dict, adj, cap: int = PARTNER_CAP, fallback=None) -> list:
+    """The greedy max-deficit pairing behind every degree stage.
 
-    cur maps node -> remaining deficit (> 0 entries only are considered).
-    Repeatedly takes the most deficient node (ties toward smaller id) and
-    pairs it with the most deficient node it is not yet adjacent to,
-    scanning at most PARTNER_CAP live candidates before retiring it with
-    its remaining deficit unmet. Pairing only ever joins two deficient
-    nodes, so no node is pushed past its reference degree, and a node
-    that is not retired ends with no deficit. Returns the added pairs.
+    cur maps node -> remaining deficit; only entries > 0 are considered.
+    adj maps each of those nodes to its neighbour set (a list of sets for
+    one cluster, a dict of sets for the global pass) and gains every pair
+    added. Repeatedly takes the most deficient node (ties toward smaller
+    id) and pairs it with the most deficient node it is not yet adjacent
+    to, scanning at most cap live candidates. A node left without such a
+    partner takes fallback(node) when a fallback is given, and otherwise
+    retires with its remaining deficit unmet. Without a fallback, pairing
+    only ever joins two deficient nodes, so no node is pushed past its
+    target, and a node that is not retired ends with no deficit. Returns
+    the added pairs.
     """
     heap = [(-d, v) for v, d in cur.items() if d > 0]
     heapq.heapify(heap)
     added = []
     while heap:
         nd, u = heapq.heappop(heap)
-        if cur.get(u, 0) != -nd:
+        if cur[u] != -nd:
             continue
+        nbrs = adj[u]
         partner = None
         skipped = []
         scanned = 0
-        while heap and scanned < PARTNER_CAP:
+        while heap and scanned < cap:
             entry = heapq.heappop(heap)
             dv, v = -entry[0], entry[1]
-            if cur.get(v, 0) != dv:
+            if cur[v] != dv:
                 continue
             scanned += 1
-            if v != u and not is_adjacent(u, v):
+            if v != u and v not in nbrs:
                 partner = v
                 break
             skipped.append(entry)
         for entry in skipped:
             heapq.heappush(heap, entry)
         if partner is None:
-            cur[u] = 0  # retired
-            continue
-        add_edge(u, partner)
+            if fallback is None:
+                cur[u] = 0  # retired
+                continue
+            partner = fallback(u)
+        nbrs.add(partner)
+        adj[partner].add(u)
         added.append((u, partner) if u < partner else (partner, u))
         cur[u] -= 1
-        cur[partner] -= 1
+        # a fallback partner may have had no deficit to track
+        cur[partner] = cur.get(partner, 0) - 1
         if cur[u] > 0:
             heapq.heappush(heap, (-cur[u], u))
         if cur[partner] > 0:
@@ -305,8 +283,9 @@ def _match_within(lg: _LocalGraph, budget: np.ndarray) -> list:
     A member's deficit is its budget (reference degree less its fixed
     outward edges) minus its current intra-cluster degree.
     """
-    cur = {v: b - d for v, (b, d) in enumerate(zip(budget.tolist(), lg.deg)) if b > d}
-    return _deficit_matching(cur, lambda u, v: v in lg.adj[u], lg.add)
+    cur = {v: b - len(nbrs) for v, (b, nbrs) in enumerate(zip(budget.tolist(), lg.adj))
+           if b > len(nbrs)}
+    return _deficit_matching(cur, lg.adj)
 
 
 def match_degrees_global(edges: np.ndarray, deficits: np.ndarray) -> list:
@@ -314,20 +293,17 @@ def match_degrees_global(edges: np.ndarray, deficits: np.ndarray) -> list:
 
     edges is the canonical (m, 2) array of the current clustered part and
     is left unchanged. The matcher only ever tests a pair of two nodes
-    with a positive deficit, so only the edges between two such nodes
-    enter its private adjacency set.
+    with a positive deficit, so its private adjacency holds those nodes
+    and only the edges between two of them.
     """
     need = deficits > 0
-    cur = dict(zip(np.flatnonzero(need).tolist(), deficits[need].tolist()))
-    edge_set = set(map(tuple, edges[need[edges[:, 0]] & need[edges[:, 1]]].tolist()))
-
-    def is_adjacent(u, v):
-        return ((u, v) if u < v else (v, u)) in edge_set
-
-    def add_edge(u, v):
-        edge_set.add((u, v) if u < v else (v, u))
-
-    return _deficit_matching(cur, is_adjacent, add_edge)
+    nodes = np.flatnonzero(need).tolist()
+    cur = dict(zip(nodes, deficits[need].tolist()))
+    adj = {v: set() for v in nodes}
+    for u, v in edges[need[edges[:, 0]] & need[edges[:, 1]]].tolist():
+        adj[u].add(v)
+        adj[v].add(u)
+    return _deficit_matching(cur, adj)
 
 
 def process_cluster(item: ClusterWork, variant: str) -> RepairOutcome:

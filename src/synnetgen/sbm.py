@@ -150,13 +150,10 @@ def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
     counts = np.asarray(bm.counts, dtype=np.int64)
     live = counts > 0
     lonely = live & (kr == ks) & (size[kr] == 1)
-    forced = live & (kr != ks) & (size[kr] == 1) & (size[ks] == 1)
-    need = np.where(live & ~lonely & ~forced, counts, 0)
+    need = np.where(live & ~lonely, counts, 0)
 
     n = c.n
-    fu, fv = order[start[kr[forced]]], order[start[ks[forced]]]
-    keys = np.minimum(fu, fv) * n + np.maximum(fu, fv)
-    owners = np.flatnonzero(forced)
+    keys = owners = np.empty(0, dtype=np.int64)
     ends = np.column_stack([kr, ks])
     stream = _hash(_mix64(np.uint64(seed)), np.arange(len(bm), dtype=np.uint64))
     side = np.arange(2, dtype=np.uint64)
@@ -184,7 +181,7 @@ def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
         owners = np.concatenate([owners, got])
         need -= np.bincount(got, minlength=len(bm))
 
-    shortfall = need + np.where(lonely, counts, 0) + np.where(forced, counts - 1, 0)
+    shortfall = need + np.where(lonely, counts, 0)
     lonely_blocks = int(lonely.sum())
     if lonely_blocks:
         log.warning("%d single-node blocks demanded intra edges; dropped", lonely_blocks)

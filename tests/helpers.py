@@ -348,6 +348,65 @@ def reference_repair_mincut(lg, k):
     return added, warnings
 
 
+def reference_enforce_min_degree(lg, k):
+    """The minimum-degree stage as its own heap loop, from before it became
+    a call of the shared pairing loop: (added pairs, how many of them the
+    fallback chose).
+
+    Same heap, tie-breaks and fallback as repair._enforce_min_degree, so on
+    equal input it adds the same pairs in the same order. It keeps its own
+    degree list in step with the local graph it extends.
+    """
+    size = lg.size
+    added = []
+    fallbacks = 0
+    if size < 2:
+        return added, fallbacks
+    t = min(max(1, k), size - 1)
+    deg = [len(nbrs) for nbrs in lg.adj]
+    heap = [(-(t - deg[v]), v) for v in range(size) if deg[v] < t]
+    heapq.heapify(heap)
+    while heap:
+        nd, u = heapq.heappop(heap)
+        if t - deg[u] != -nd:
+            continue
+        # try the most deficient compatible partner first
+        partner = None
+        skipped = []
+        while heap:
+            entry = heapq.heappop(heap)
+            dv, v = -entry[0], entry[1]
+            if t - deg[v] != dv:
+                continue
+            if v != u and v not in lg.adj[u]:
+                partner = v
+                break
+            skipped.append(entry)
+        for entry in skipped:
+            heapq.heappush(heap, entry)
+        if partner is None:
+            # fall back to the lowest-degree member u is not adjacent to
+            fallbacks += 1
+            best = None
+            for v in range(size):
+                if v == u or v in lg.adj[u]:
+                    continue
+                key = (deg[v], v)
+                if best is None or key < best:
+                    best = key
+                    partner = v
+            if partner is None:
+                raise AssertionError("no non-adjacent partner for deficient node")
+        added.append(lg.add(u, partner))
+        deg[u] += 1
+        deg[partner] += 1
+        for w in (u, partner):
+            d = t - deg[w]
+            if d > 0:
+                heapq.heappush(heap, (-d, w))
+    return added, fallbacks
+
+
 def reference_deficit_matching(cur: dict, is_adjacent, add_edge):
     """The greedy max-deficit matcher as it was when it also returned its
     residuals: (added pairs, {retired node: deficit left unmet}).

@@ -5,10 +5,12 @@ somewhere else in the same file, as a name, as the base of an attribute,
 or inside a string annotation. The package's __init__.py re-exports its
 imports and __future__ imports are directives, so neither counts.
 
-Unreferenced definitions: every public function, class and method the
-package defines must be used, as a name or an attribute, somewhere in the
-package outside __init__.py. A definition only tests use is not part of
-what the program does, so it goes, except for the allow-listed names.
+Unreferenced definitions: every module-level function, class and
+constant the package defines, private or not, and every public method,
+must be used, as a name or an attribute, somewhere in the package outside
+__init__.py. Assigning a name is not a use of it. A definition only tests
+use is not part of what the program does, so it goes, except for the
+allow-listed names.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ ALLOWED_UNREFERENCED = {
 
 
 def _used_names(tree: ast.AST) -> set:
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
     for ann in filter(None, _annotations(tree)):
         for const in ast.walk(ann):
             if isinstance(const, ast.Constant) and isinstance(const.value, str):
@@ -62,21 +65,29 @@ def unused_imports(source: str) -> list:
     return out
 
 
-def _public_definitions(body, prefix=""):
-    """(line, qualified name) of the public defs and classes in a module or
-    class body, and of the public methods of every class in it."""
+def _constants(node):
+    """Names a module-level assignment binds, dunders aside."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
+def _definitions(body, prefix=""):
+    """(line, qualified name) of the defs, classes and constants in a
+    module body, and of the public methods of every class in it."""
     for node in body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and not prefix:
+            yield from ((node.lineno, name) for name in _constants(node))
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
-        if not node.name.startswith("_"):
+        if not (prefix and node.name.startswith("_")):
             yield node.lineno, prefix + node.name
         if isinstance(node, ast.ClassDef):
-            yield from _public_definitions(node.body, f"{prefix}{node.name}.")
+            yield from _definitions(node.body, f"{prefix}{node.name}.")
 
 
 def unreferenced_definitions(sources: dict) -> list:
-    """(file, line, qualified name) of every public definition in sources
-    (file name -> source text) whose name no file uses as a name or an
+    """(file, line, qualified name) of every definition in sources (file
+    name -> source text) whose name no file uses as a name or an
     attribute."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     used = set()
@@ -84,7 +95,7 @@ def unreferenced_definitions(sources: dict) -> list:
         used |= _used_names(tree)
         used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     return [(name, line, qual) for name, tree in trees.items()
-            for line, qual in _public_definitions(tree.body)
+            for line, qual in _definitions(tree.body)
             if qual.rsplit(".", 1)[-1] not in used]
 
 
@@ -108,11 +119,15 @@ def test_scan_flags_an_unreferenced_definition():
     lib = ("def used():\n    pass\ndef unused():\n    pass\ndef _private():\n    pass\n"
            "class Box:\n    def open(self):\n        pass\n"
            "    def shut(self):\n        pass\n"
-           "class _Hidden:\n    def peek(self):\n        pass\n")
+           "    def _step(self):\n        pass\n"
+           "class _Hidden:\n    def peek(self):\n        pass\n"
+           "LIMIT = 3\n_CAP: int = 4\n__all__ = []\nSPARE = 5\nSPARE = LIMIT + _CAP\n")
     # importing a name, as __init__.py does, is not a use of it
     caller = "from lib import used, unused\nused()\nBox().open()\n"
     assert unreferenced_definitions({"lib.py": lib, "caller.py": caller}) == [
-        ("lib.py", 3, "unused"), ("lib.py", 10, "Box.shut"), ("lib.py", 13, "_Hidden.peek")]
+        ("lib.py", 3, "unused"), ("lib.py", 5, "_private"), ("lib.py", 10, "Box.shut"),
+        ("lib.py", 14, "_Hidden"), ("lib.py", 15, "_Hidden.peek"),
+        ("lib.py", 20, "SPARE"), ("lib.py", 21, "SPARE")]
 
 
 def test_package_defines_nothing_it_never_uses():

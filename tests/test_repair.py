@@ -30,6 +30,7 @@ from helpers import (
     min_edges_for_degree_floor,
     random_edge_array,
     reference_deficit_matching,
+    reference_enforce_min_degree,
     reference_repair_mincut,
     unmet_deficits,
 )
@@ -51,6 +52,15 @@ def work(size, edges, k=1, ref=None, ext=None, cid=0):
         target_cut=k,
         budget=ref - ext,
     )
+
+
+def neighbour_sets(n, edges):
+    """The list-of-sets adjacency the pairing loop reads and extends."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 def local(size, edges):
@@ -473,14 +483,9 @@ def test_match_global_equals_matching_over_all_edges():
         n = int(rng.integers(2, 120))
         arr = random_edge_array(rng, n, float(rng.uniform(0.02, 0.6)))
         deficits = rng.integers(-2, 6, size=n)
-        full = set(map(tuple, arr.tolist()))
-
-        def add_edge(u, v):
-            full.add((min(u, v), max(u, v)))
-
+        full = neighbour_sets(n, arr.tolist())
         cur = {v: int(d) for v, d in enumerate(deficits.tolist()) if d > 0}
-        expect = _deficit_matching(
-            cur, lambda u, v: (min(u, v), max(u, v)) in full, add_edge)
+        expect = _deficit_matching(cur, full)
         assert match_degrees_global(arr, deficits) == expect
 
 
@@ -640,17 +645,49 @@ def test_deficit_matching_matches_the_residual_oracle(case):
     # the matcher returns only its pairs; the deficits the pipeline reads
     # back from the degrees must equal the residuals the old matcher kept
     n, edges, deficits = case
-    graphs = {"got": set(edges), "ref": set(edges)}
-
-    def adjacency(name):
-        return (lambda u, v: (min(u, v), max(u, v)) in graphs[name],
-                lambda u, v: graphs[name].add((min(u, v), max(u, v))))
-
+    ref = set(edges)
     cur = {v: d for v, d in enumerate(deficits) if d != 0}
-    added = _deficit_matching(dict(cur), *adjacency("got"))
-    expect, residual = reference_deficit_matching(dict(cur), *adjacency("ref"))
+    added = _deficit_matching(dict(cur), neighbour_sets(n, edges))
+    expect, residual = reference_deficit_matching(
+        dict(cur), lambda u, v: (min(u, v), max(u, v)) in ref,
+        lambda u, v: ref.add((min(u, v), max(u, v))))
     assert added == expect
     assert unmet_deficits(deficits, added) == residual
+
+
+@st.composite
+def min_degree_cases(draw):
+    """(size, edges, k): a random graph on 1..25 nodes, or a near-complete
+    one missing at most size pairs, with k in 0..12."""
+    size = draw(st.integers(1, 25))
+    if draw(st.booleans()):
+        edges = draw(edge_lists(size))
+    else:
+        missing = set(draw(edge_lists(size, max_size=size)))
+        edges = [e for e in itertools.combinations(range(size), 2) if e not in missing]
+    return size, edges, draw(st.integers(0, 12))
+
+
+def test_enforce_min_degree_matches_the_heap_oracle():
+    # the stage is a call of the shared pairing loop; it must add the
+    # pairs the old dedicated loop added, in the same order, and the
+    # cases must reach the fallback that runs when no deficient partner
+    # is left
+    fallbacks = []
+
+    @settings(max_examples=400)
+    @given(min_degree_cases())
+    @example((4, [(0, 1), (0, 2), (1, 2)], 2))
+    def check(case):
+        size, edges, k = case
+        lg, ref = local(size, edges), local(size, edges)
+        expect, used = reference_enforce_min_degree(ref, k)
+        assert _enforce_min_degree(lg, k) == expect
+        assert lg.adj == ref.adj
+        fallbacks.append(used)
+
+    check()
+    assert sum(map(bool, fallbacks)) >= 20
 
 
 @st.composite
