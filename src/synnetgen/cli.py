@@ -1,7 +1,8 @@
 """Command line entry points.
 
-Exit codes: 0 on success, 2 for unreadable or malformed inputs, 3 when a
-pipeline stage fails or a cluster is too large for an exact min cut.
+Exit codes: 0 on success, 2 for unreadable or malformed inputs or an
+output path that cannot be written, 3 when a pipeline stage fails or a
+cluster is too large for an exact min cut.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return HANDLERS[args.command](args)
-    except (GraphFormatError, FileNotFoundError) as exc:
+    except (GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (PipelineError, MinCutSizeError) as exc:

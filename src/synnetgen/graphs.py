@@ -6,11 +6,12 @@ original labels are restored on output, so writing back a loaded graph
 round-trips exactly.
 
 Edge lists and clusterings are parsed by one of two paths that return the
-same (m, 2) int64 array. A file whose bytes prove it well formed (only
-ASCII digits, '-', spaces, tabs and LF or CRLF line ends; every token an
+same (m, 2) int64 array. A file whose bytes prove it well formed (an
+optional leading block of blank and comment lines, then only ASCII
+digits, '-', spaces, tabs and LF or CRLF line ends; every token an
 integer of at most 18 digits; zero or two tokens on every line) is parsed
-in bulk by numpy. Any other file, with comments, other whitespace or
-anything malformed, runs a loop over its lines, which accepts what int()
+in bulk by numpy. Any other file, with a later comment, other whitespace
+or anything malformed, runs a loop over its lines, which accepts what int()
 accepts and names the first bad line. A value outside int64 is such a
 line. A file that cannot be read, or holds a byte that is not UTF-8, is
 a GraphFormatError naming it (and the byte's line) like any other.
@@ -19,6 +20,7 @@ a GraphFormatError naming it (and the byte's line) like any other.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -190,17 +192,22 @@ class Clustering:
 # fits in int64 and int() of it gives the same value
 _FAST_MAX_DIGITS = 18
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# a leading run of whole blank or comment lines of printable ASCII and
+# tabs, each ended by LF or CRLF: lines the loop skips
+_HEADER = re.compile(rb"(?:[ \t]*(?:[#%][\t\x20-\x7e]*)?\r?\n)*")
 
 
 def _fast_int_pairs(data: bytes):
     """The (m, 2) array the line loop would return for data, or None.
 
     Returns an array only when the bytes alone prove that the loop would
-    accept every line: only ASCII digits, '-', space, tab, CR and LF occur;
-    every CR ends a CRLF; every token is -?[0-9]{1,18}; and every line
-    holds zero or two tokens. Anything else returns None and goes to the
-    loop, which names the offending line.
+    accept every line: after a leading _HEADER block, only ASCII digits,
+    '-', space, tab, CR and LF occur; every CR ends a CRLF; every token
+    is -?[0-9]{1,18}; and every line holds zero or two tokens. Anything
+    else returns None and goes to the loop, which names the offending
+    line.
     """
+    data = data[_HEADER.match(data).end():]
     if data.translate(None, b"0123456789- \t\r\n") or \
             data.count(b"\r") != data.count(b"\r\n"):
         return None

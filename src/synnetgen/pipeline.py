@@ -94,7 +94,6 @@ class RunReport:
     sbm: dict = field(default_factory=dict)
     residual_deficit_total: int = 0
     residual_node_count: int = 0
-    warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -224,8 +223,6 @@ def _prepare(g: CsrGraph, c: Clustering, seed: int, executor,
         "clustered_shortfall": rep_c.shortfall,
         "singleton_requested": rep_s.requested,
         "singleton_shortfall": rep_s.shortfall,
-        "single_node_intra_blocks": rep_c.single_node_intra_blocks
-        + rep_s.single_node_intra_blocks,
     }
     return _Prepared(g=g, seed=seed, split=split_res, gc_ref_deg=gc_ref_deg,
                      stats=stats, gc_sample=gc_sample, gs_sample=gs_sample, sbm=sbm,
@@ -257,8 +254,6 @@ def _finish(prepared: _Prepared, variant: str, executor,
     with _stage(seconds, "merge"):
         counts = np.array([out.counts for out in outcomes],
                           dtype=np.int64).reshape(-1, len(rp.STAGES)).sum(axis=0)
-        report.warnings.extend(f"cluster {item.cluster_id}: {w}"
-                               for item, out in zip(items, outcomes) for w in out.warnings)
         # merged clustered part: sampled edges plus everything repair added
         gc_merged = _merge_arrays(n_c, [gc_sample] + [
             item.members[out.added] for item, out in zip(items, outcomes)])

@@ -21,6 +21,10 @@ A cluster's repair returns one (k, 2) int64 array of the local pairs its
 stages added, in STAGES order, with each stage's count. The matchers
 return only their pairs; the pipeline reads what they left unmet from
 the output degrees.
+
+Cut repair always finds a pair to add: the kernel's side is one shore
+(A, B) of a minimum cut, and if every pair across it were an edge, the
+cut would be at least |A|*|B| >= size - 1 >= target, above its value.
 """
 
 from __future__ import annotations
@@ -66,31 +70,25 @@ class ClusterWork:
 class RepairOutcome:
     added: np.ndarray  # (k, 2) int64 canonical local pairs, stage by stage
     counts: tuple      # pairs each of STAGES added, in order
-    warnings: list
 
 
-class _LocalGraph:
-    """Mutable adjacency of one cluster, built from a local edge array.
+def _adjacency(size: int, edges: np.ndarray) -> list:
+    """One cluster's neighbour sets, built from a local edge array.
 
-    A member's degree is len(adj[v]). The array it came from is left as
-    it was.
+    A member's degree is len(adj[v]). The array is left as it was.
     """
+    adj = [set() for _ in range(size)]
+    for u, v in edges.tolist():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
-    __slots__ = ("size", "adj")
 
-    def __init__(self, size: int, edges: np.ndarray):
-        self.size = size
-        self.adj = [set() for _ in range(size)]
-        for u, v in edges.tolist():
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-
-    def add(self, u: int, v: int) -> tuple[int, int]:
-        if u > v:
-            u, v = v, u
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-        return (u, v)
+def _link(adj, u: int, v: int) -> tuple[int, int]:
+    """Add the edge u-v to adj and return it as a canonical pair."""
+    adj[u].add(v)
+    adj[v].add(u)
+    return (u, v) if u < v else (v, u)
 
 
 def min_degree_target(k: int, size: int) -> int:
@@ -98,18 +96,15 @@ def min_degree_target(k: int, size: int) -> int:
     return min(max(1, k), size - 1)
 
 
-def _enforce_min_degree(lg: _LocalGraph, k: int) -> list:
+def _enforce_min_degree(adj: list, k: int) -> list:
     """Raise every member's intra-cluster degree to min(max(1, k), size-1).
 
     Deficient nodes pair most-deficient-first; a node with no deficient
     partner takes the lowest-degree non-adjacent member, ties by id.
     Returns the added local edges.
     """
-    size = lg.size
-    if size < 2:
-        return []
+    size = len(adj)
     t = min_degree_target(k, size)
-    adj = lg.adj
     cur = {v: t - len(nbrs) for v, nbrs in enumerate(adj) if len(nbrs) < t}
     if not cur:
         return []
@@ -119,11 +114,11 @@ def _enforce_min_degree(lg: _LocalGraph, k: int) -> list:
         key=lambda v: (len(adj[v]), v)))
 
 
-def _local_components(lg: _LocalGraph) -> list:
+def _local_components(adj: list) -> list:
     """Connected components as member lists, ordered by smallest member."""
-    seen = [False] * lg.size
+    seen = [False] * len(adj)
     comps = []
-    for s in range(lg.size):
+    for s in range(len(adj)):
         if seen[s]:
             continue
         seen[s] = True
@@ -131,7 +126,7 @@ def _local_components(lg: _LocalGraph) -> list:
         stack = [s]
         while stack:
             u = stack.pop()
-            for v in lg.adj[u]:
+            for v in adj[u]:
                 if not seen[v]:
                     seen[v] = True
                     comp.append(v)
@@ -140,64 +135,57 @@ def _local_components(lg: _LocalGraph) -> list:
     return comps
 
 
-def _stitch(lg: _LocalGraph) -> list:
+def _stitch(adj: list) -> list:
     """Chain the cluster's components into one.
 
     Components are ordered by smallest member; one edge joins the lowest
     degree node (ties by id) of component i to that of component i+1.
     """
-    comps = _local_components(lg)
+    comps = _local_components(adj)
     if len(comps) <= 1:
         return []
     # per-component representative picked before any stitch edge lands
-    reps = [min(comp, key=lambda v: (len(lg.adj[v]), v)) for comp in comps]
-    return [lg.add(a, b) for a, b in zip(reps, reps[1:])]
+    reps = [min(comp, key=lambda v: (len(adj[v]), v)) for comp in comps]
+    return [_link(adj, a, b) for a, b in zip(reps, reps[1:])]
 
 
-def _repair_mincut(lg: _LocalGraph, k: int) -> tuple[list, list]:
+def _repair_mincut(adj: list, k: int) -> list:
     """Add edges until the cluster's exact min cut reaches min(k, size-1).
 
     Each round recomputes the cut and adds a single edge across it between
     the lowest-degree non-adjacent pair. A round ends the repair without
     the kernel when the cut's proven lower bound already meets the target.
-    Returns (added, warnings). A cluster larger than the exact cut's size
-    guard raises MinCutSizeError before any cut matrix is allocated.
+    Returns the added local edges. A cluster larger than the exact cut's
+    size guard raises MinCutSizeError before any cut matrix is allocated.
     """
-    size = lg.size
+    size = len(adj)
     added = []
-    warnings = []
     target = min(k, size - 1)
-    if size < 2 or target <= 0:
-        return added, warnings
+    if target <= 0:
+        return added
     check_size(size)
     while True:
-        floor = cut_floor(lg.adj, min(map(len, lg.adj)))
+        floor = cut_floor(adj, min(map(len, adj)))
         if floor >= target:
             break
-        w = dense_adjacency(size, [(u, v) for u in range(size) for v in lg.adj[u]])
+        w = dense_adjacency(size, [(u, v) for u in range(size) for v in adj[u]])
         value, side = stoer_wagner_dense(w, floor=floor)
         if value >= target:
             break
         inside = set(side)
         other = [v for v in range(size) if v not in inside]
-        pair = _lowest_degree_cross_pair(lg, side, other)
-        if pair is None:
-            warnings.append(
-                f"cut saturated at {value} (target {target}), no addable pair"
-            )
-            break
-        added.append(lg.add(*pair))
-    return added, warnings
+        added.append(_link(adj, *_lowest_degree_cross_pair(adj, side, other)))
+    return added
 
 
-def _lowest_degree_cross_pair(lg: _LocalGraph, side_a: list, side_b: list):
+def _lowest_degree_cross_pair(adj: list, side_a: list, side_b: list):
     """Lowest-degree non-adjacent pair across a cut, ties by node id.
 
     Minimizes deg(a) + deg(b), breaking ties by the smaller sorted key
     ((deg, id) per endpoint). Returns None if every cross pair is already
     an edge.
     """
-    deg = list(map(len, lg.adj))
+    deg = list(map(len, adj))
     a_sorted = sorted(side_a, key=lambda v: (deg[v], v))
     b_sorted = sorted(side_b, key=lambda v: (deg[v], v))
     best = None
@@ -209,7 +197,7 @@ def _lowest_degree_cross_pair(lg: _LocalGraph, side_a: list, side_b: list):
             s = deg[a] + deg[b]
             if best is not None and s > best[0]:
                 break
-            if b in lg.adj[a]:
+            if b in adj[a]:
                 continue
             # first valid b minimizes (deg, id) for this a; later equal-sum
             # pairs for the same a cannot beat it on the id tie-break
@@ -264,9 +252,7 @@ def _deficit_matching(cur: dict, adj, cap: int = PARTNER_CAP, fallback=None) -> 
                 cur[u] = 0  # retired
                 continue
             partner = fallback(u)
-        nbrs.add(partner)
-        adj[partner].add(u)
-        added.append((u, partner) if u < partner else (partner, u))
+        added.append(_link(adj, u, partner))
         cur[u] -= 1
         # a fallback partner may have had no deficit to track
         cur[partner] = cur.get(partner, 0) - 1
@@ -277,15 +263,15 @@ def _deficit_matching(cur: dict, adj, cap: int = PARTNER_CAP, fallback=None) -> 
     return added
 
 
-def _match_within(lg: _LocalGraph, budget: np.ndarray) -> list:
-    """Deficit matching inside one cluster, on its current local graph.
+def _match_within(adj: list, budget: np.ndarray) -> list:
+    """Deficit matching inside one cluster, on its current neighbour sets.
 
     A member's deficit is its budget (reference degree less its fixed
     outward edges) minus its current intra-cluster degree.
     """
-    cur = {v: b - len(nbrs) for v, (b, nbrs) in enumerate(zip(budget.tolist(), lg.adj))
+    cur = {v: b - len(nbrs) for v, (b, nbrs) in enumerate(zip(budget.tolist(), adj))
            if b > len(nbrs)}
-    return _deficit_matching(cur, lg.adj)
+    return _deficit_matching(cur, adj)
 
 
 def match_degrees_global(edges: np.ndarray, deficits: np.ndarray) -> list:
@@ -310,18 +296,18 @@ def process_cluster(item: ClusterWork, variant: str) -> RepairOutcome:
     """Run one cluster through a variant's per-cluster stage sequence."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    lg = _LocalGraph(len(item.members), item.edges)
+    adj = _adjacency(len(item.members), item.edges)
     if variant == VARIANT_PP:
-        stitched = _stitch(lg)
-        raised = _enforce_min_degree(lg, item.target_cut)
+        stitched = _stitch(adj)
+        raised = _enforce_min_degree(adj, item.target_cut)
     else:
-        raised = _enforce_min_degree(lg, item.target_cut)
-        stitched = _stitch(lg)
-    cut, warnings = _repair_mincut(lg, item.target_cut)
-    matched = _match_within(lg, item.budget) if variant == VARIANT_PP else []
+        raised = _enforce_min_degree(adj, item.target_cut)
+        stitched = _stitch(adj)
+    cut = _repair_mincut(adj, item.target_cut)
+    matched = _match_within(adj, item.budget) if variant == VARIANT_PP else []
     stages = (raised, stitched, cut, matched)
     added = np.array(raised + stitched + cut + matched, dtype=np.int64).reshape(-1, 2)
-    return RepairOutcome(added=added, counts=tuple(map(len, stages)), warnings=warnings)
+    return RepairOutcome(added=added, counts=tuple(map(len, stages)))
 
 
 def repair_cluster_task(args) -> RepairOutcome:

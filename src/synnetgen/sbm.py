@@ -66,7 +66,6 @@ class SampleReport:
     placed: int
     shortfall: int
     coordinate_shortfall: np.ndarray  # aligned with the block matrix entries
-    single_node_intra_blocks: int
 
 
 def degree_weights(edges, n: int) -> np.ndarray:
@@ -147,10 +146,8 @@ def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
         return order[np.minimum(at, last[k])]
 
     kr, ks = lookup[bm.r], lookup[bm.s]
-    counts = np.asarray(bm.counts, dtype=np.int64)
-    live = counts > 0
-    lonely = live & (kr == ks) & (size[kr] == 1)
-    need = np.where(live & ~lonely, counts, 0)
+    # a copy: np.asarray may alias bm.counts, and need counts down in place
+    need = np.asarray(bm.counts, dtype=np.int64).copy()
 
     n = c.n
     keys = owners = np.empty(0, dtype=np.int64)
@@ -181,11 +178,7 @@ def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
         owners = np.concatenate([owners, got])
         need -= np.bincount(got, minlength=len(bm))
 
-    shortfall = need + np.where(lonely, counts, 0)
-    lonely_blocks = int(lonely.sum())
-    if lonely_blocks:
-        log.warning("%d single-node blocks demanded intra edges; dropped", lonely_blocks)
-    total_short = int(shortfall.sum())
+    total_short = int(need.sum())
     if total_short:
         log.info("sampling shortfall: %d of %d edges dropped",
                  total_short, bm.total_edges)
@@ -193,8 +186,7 @@ def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
         requested=bm.total_edges,
         placed=len(keys),
         shortfall=total_short,
-        coordinate_shortfall=shortfall,
-        single_node_intra_blocks=lonely_blocks,
+        coordinate_shortfall=need,
     )
     keys = np.sort(keys)
     return np.column_stack([keys // n, keys % n]), report

@@ -17,7 +17,7 @@ import numpy as np
 
 from synnetgen import Clustering, GraphFormatError, build_csr
 from synnetgen.mincut import dense_adjacency, stoer_wagner_dense
-from synnetgen.repair import PARTNER_CAP, _lowest_degree_cross_pair
+from synnetgen.repair import PARTNER_CAP, _link, _lowest_degree_cross_pair
 from synnetgen.sbm import MAX_RETRIES, SampleReport
 
 
@@ -280,7 +280,6 @@ def reference_sample_dcsbm(bm, c, weights, seed):
 
     placed = []
     shortfall = np.zeros(len(bm), dtype=np.int64)
-    lonely = 0
     for i in range(len(bm)):
         r, s, cnt = int(bm.r[i]), int(bm.s[i]), int(bm.counts[i])
         if cnt <= 0:
@@ -289,7 +288,6 @@ def reference_sample_dcsbm(bm, c, weights, seed):
         nodes_s, cum_s = block(s)
         if r == s and len(nodes_r) == 1:
             shortfall[i] = cnt
-            lonely += 1
             continue
         if r != s and len(nodes_r) == 1 and len(nodes_s) == 1:
             u, v = int(nodes_r[0]), int(nodes_s[0])
@@ -310,60 +308,60 @@ def reference_sample_dcsbm(bm, c, weights, seed):
         placed.extend(seen)
         shortfall[i] = need
     report = SampleReport(requested=bm.total_edges, placed=len(placed),
-                          shortfall=int(shortfall.sum()), coordinate_shortfall=shortfall,
-                          single_node_intra_blocks=lonely)
+                          shortfall=int(shortfall.sum()), coordinate_shortfall=shortfall)
     return np.array(sorted(placed), dtype=np.int64).reshape(-1, 2), report
 
 
-def local_edge_set(lg):
-    """The canonical pairs of a repair _LocalGraph, read from its adjacency."""
-    return {(u, v) for u, nbrs in enumerate(lg.adj) for v in nbrs if u < v}
+def local_edge_set(adj):
+    """The canonical pairs of a cluster's neighbour-set list."""
+    return {(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v}
 
 
-def reference_repair_mincut(lg, k):
+def reference_repair_mincut(adj, k):
     """_repair_mincut without its cut bounds: the full kernel every round.
 
-    Same contract and tie-breaks, so on equal input it must add the same
-    edges in the same order and give the same warnings.
+    Same tie-breaks, so on equal input it must add the same edges in the
+    same order. Returns (added, warnings): it keeps the branch that
+    warns when every pair across the cut is already an edge.
     """
-    size = lg.size
+    size = len(adj)
     added = []
     warnings = []
     target = min(k, size - 1)
     if size < 2 or target <= 0:
         return added, warnings
     while True:
-        value, side = stoer_wagner_dense(dense_adjacency(size, sorted(local_edge_set(lg))))
+        value, side = stoer_wagner_dense(dense_adjacency(size, sorted(local_edge_set(adj))))
         if value >= target:
             break
         inside = set(side)
         other = [v for v in range(size) if v not in inside]
-        pair = _lowest_degree_cross_pair(lg, sorted(inside), other)
+        pair = _lowest_degree_cross_pair(adj, sorted(inside), other)
         if pair is None:
             warnings.append(
                 f"cut saturated at {value} (target {target}), no addable pair"
             )
             break
-        added.append(lg.add(*pair))
+        added.append(_link(adj, *pair))
     return added, warnings
 
 
-def reference_enforce_min_degree(lg, k):
+def reference_enforce_min_degree(adj, k):
     """The minimum-degree stage as its own heap loop, from before it became
     a call of the shared pairing loop: (added pairs, how many of them the
     fallback chose).
 
     Same heap, tie-breaks and fallback as repair._enforce_min_degree, so on
     equal input it adds the same pairs in the same order. It keeps its own
-    degree list in step with the local graph it extends.
+    degree list in step with the neighbour sets it extends.
     """
-    size = lg.size
+    size = len(adj)
     added = []
     fallbacks = 0
     if size < 2:
         return added, fallbacks
     t = min(max(1, k), size - 1)
-    deg = [len(nbrs) for nbrs in lg.adj]
+    deg = [len(nbrs) for nbrs in adj]
     heap = [(-(t - deg[v]), v) for v in range(size) if deg[v] < t]
     heapq.heapify(heap)
     while heap:
@@ -378,7 +376,7 @@ def reference_enforce_min_degree(lg, k):
             dv, v = -entry[0], entry[1]
             if t - deg[v] != dv:
                 continue
-            if v != u and v not in lg.adj[u]:
+            if v != u and v not in adj[u]:
                 partner = v
                 break
             skipped.append(entry)
@@ -389,7 +387,7 @@ def reference_enforce_min_degree(lg, k):
             fallbacks += 1
             best = None
             for v in range(size):
-                if v == u or v in lg.adj[u]:
+                if v == u or v in adj[u]:
                     continue
                 key = (deg[v], v)
                 if best is None or key < best:
@@ -397,7 +395,7 @@ def reference_enforce_min_degree(lg, k):
                     partner = v
             if partner is None:
                 raise AssertionError("no non-adjacent partner for deficient node")
-        added.append(lg.add(u, partner))
+        added.append(_link(adj, u, partner))
         deg[u] += 1
         deg[partner] += 1
         for w in (u, partner):

@@ -33,7 +33,7 @@ from synnetgen import (
     synthesize,
 )
 from synnetgen.metrics import cluster_mincut_map
-from synnetgen.repair import _LocalGraph, _match_within
+from synnetgen.repair import _adjacency, _match_within
 
 from helpers import (
     brute_force_min_cut,
@@ -183,7 +183,7 @@ def test_degree_matching_monotonicity():
             budget=ref - ext,
         )
         before = rmse(ref, deg + ext)
-        added = _match_within(_LocalGraph(size, item.edges), item.budget)
+        added = _match_within(_adjacency(size, item.edges), item.budget)
         after_deg = np.zeros(size, dtype=np.int64)
         for u, v in sorted(edges) + added:
             after_deg[u] += 1

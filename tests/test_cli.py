@@ -140,6 +140,26 @@ def test_eval_undecodable_network_exits_two(tmp_path, capsys):
     assert f"{net}: line 4: byte 0xff is not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["generate", "stats", "eval"])
+def test_unwritable_output_exits_two(ref_files, tmp_path, capsys, command):
+    # generate and eval make a directory where a file already is; stats
+    # writes its CSV where a directory is
+    net, clu, _, _ = ref_files
+    taken = tmp_path / "taken"
+    if command == "stats":
+        taken.mkdir()
+    else:
+        taken.write_text("")
+    args = {"generate": ["--network", str(net), "--out-dir"],
+            "stats": ["--network", str(net), "--out"],
+            "eval": ["--reference", str(net), "--synthetic", str(net), "--out"]}
+    rc = main([command, "--clustering", str(clu), *args[command], str(taken)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and str(taken) in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_pipeline_error(tmp_path, monkeypatch):
     import synnetgen.cli as cli
 

@@ -193,7 +193,10 @@ WELL_FORMED = {
                   [[999999999999999999, -999999999999999999]], True),
     "blank only": ("\n \t\r\n", [], True),
     "empty": ("", [], True),
-    "comment": ("# c\n1 2\n", [[1, 2]], False),
+    "comment": ("# c\n1 2\n", [[1, 2]], True),
+    "header block": (" % a\tb\r\n\n\t# Nodes: 3\n1 2\n", [[1, 2]], True),
+    "comment after data": ("1 2\n# c\n3 4\n", [[1, 2], [3, 4]], False),
+    "non-ASCII comment": ("# é\n1 2\n", [[1, 2]], False),
     "CR-only": ("1 2\r3 4\r", [[1, 2], [3, 4]], False),
     "int() syntax": ("+5 1_000\n", [[5, 1000]], False),
     "non-ASCII digit": ("٣ 4\n", [[3, 4]], False),
@@ -241,9 +244,10 @@ _TOKENS = st.one_of(_NUMBERS, _NUMBERS, st.text("0123456789-+_#%x٣", min_size=1
 @st.composite
 def int_pair_texts(draw):
     """Two-column texts from an adversarial alphabet: well formed ("clean"),
-    well formed with one character inserted ("near"), loosely formed
-    ("wild"), or any string of the alphabet ("raw")."""
-    mode = draw(st.sampled_from(["clean", "near", "wild", "raw"]))
+    well formed after a block of comment and blank lines ("header"), well
+    formed with one character inserted ("near"), loosely formed ("wild"),
+    or any string of the alphabet ("raw")."""
+    mode = draw(st.sampled_from(["clean", "header", "near", "wild", "raw"]))
     if mode == "raw":
         return draw(st.text(_ADVERSARIAL, max_size=40))
     loose = mode == "wild"
@@ -259,6 +263,12 @@ def int_pair_texts(draw):
         at = draw(st.integers(0, len(text)))
         extra = draw(st.sampled_from(list(_ADVERSARIAL) + ["1234567890123456789"]))
         text = text[:at] + extra + text[at:]
+    if mode == "header":
+        for _ in range(draw(st.integers(1, 3))):
+            text = (draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from(["#", "%", ""]))
+                    + draw(st.one_of(st.text(" \t#%x1-", max_size=8),
+                                     st.text(_ADVERSARIAL, max_size=3)))
+                    + draw(st.sampled_from(["\n", "\r\n"])) + text)
     return text
 
 

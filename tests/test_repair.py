@@ -15,9 +15,9 @@ from synnetgen.mincut import MinCutSizeError, stoer_wagner_dense
 from synnetgen.repair import (
     PARTNER_CAP,
     STAGES,
+    _adjacency,
     _deficit_matching,
     _enforce_min_degree,
-    _LocalGraph,
     _match_within,
     _repair_mincut,
     _stitch,
@@ -54,25 +54,16 @@ def work(size, edges, k=1, ref=None, ext=None, cid=0):
     )
 
 
-def neighbour_sets(n, edges):
-    """The list-of-sets adjacency the pairing loop reads and extends."""
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
 def local(size, edges):
-    """A stage's input: the cluster's local graph, which the stage mutates."""
-    return _LocalGraph(size, canon(edges))
+    """A stage's input: the cluster's neighbour sets, which the stage extends."""
+    return _adjacency(size, canon(edges))
 
 
 def match_within(item):
     """Per-cluster degree matching as process_cluster runs it, on the
-    item's local graph: (added pairs, deficits the pipeline reads as
+    item's neighbour sets: (added pairs, deficits the pipeline reads as
     residual from the degrees after them)."""
-    added = _match_within(_LocalGraph(len(item.members), item.edges), item.budget)
+    added = _match_within(_adjacency(len(item.members), item.edges), item.budget)
     return added, unmet_deficits(deficits_of(item), added)
 
 
@@ -225,8 +216,7 @@ def test_stitch_oracle_random():
 
 def test_repair_mincut_path_to_two():
     lg = local(4, [(0, 1), (1, 2), (2, 3)])
-    added, warnings = _repair_mincut(lg, 2)
-    assert warnings == []
+    added = _repair_mincut(lg, 2)
     assert len(added) >= 1
     assert brute_force_min_cut(4, local_edge_set(lg)) >= 2
 
@@ -234,8 +224,7 @@ def test_repair_mincut_path_to_two():
 def test_repair_mincut_k4_noop():
     k4 = list(itertools.combinations(range(4), 2))
     lg = local(4, k4)
-    added, warnings = _repair_mincut(lg, 3)
-    assert added == [] and warnings == []
+    assert _repair_mincut(lg, 3) == []
 
 
 def test_repair_mincut_random_eight_node():
@@ -251,7 +240,7 @@ def test_repair_mincut_random_eight_node():
         trials += 1
         lg = local(8, edges)
         before = local_edge_set(lg)
-        added, _ = _repair_mincut(lg, 3)
+        added = _repair_mincut(lg, 3)
         assert before <= local_edge_set(lg)
         assert len(local_edge_set(lg)) == len(before) + len(added)
         assert brute_force_min_cut(8, local_edge_set(lg)) >= 3
@@ -263,13 +252,14 @@ def test_repair_mincut_refuses_cluster_over_size_guard(monkeypatch):
     with pytest.raises(MinCutSizeError):
         _repair_mincut(local(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 2)
     # no cut needed: a target of 0 never reaches the guard
-    assert _repair_mincut(local(5, []), 0) == ([], [])
+    assert _repair_mincut(local(5, []), 0) == []
     # at the guard is allowed
-    added, _ = _repair_mincut(local(4, [(0, 1), (1, 2), (2, 3)]), 2)
-    assert added
+    assert _repair_mincut(local(4, [(0, 1), (1, 2), (2, 3)]), 2)
 
 
 def test_repair_mincut_matches_kernel_every_round():
+    # the oracle keeps a saturation branch; it never fires, as the shore
+    # of a minimum cut always leaves a pair to add
     rng = np.random.default_rng(19)
     for _ in range(300):
         size = int(rng.integers(2, 13))
@@ -280,8 +270,10 @@ def test_repair_mincut_matches_kernel_every_round():
         if rng.random() < 0.5:
             _enforce_min_degree(lg, k)
             _stitch(lg)
-        ref = _LocalGraph(size, canon(local_edge_set(lg)))
-        assert _repair_mincut(lg, k) == reference_repair_mincut(ref, k)
+        ref = local(size, local_edge_set(lg))
+        expect, warnings = reference_repair_mincut(ref, k)
+        assert warnings == []
+        assert _repair_mincut(lg, k) == expect
         assert local_edge_set(lg) == local_edge_set(ref)
 
 
@@ -299,11 +291,10 @@ def test_repair_mincut_kernel_calls(monkeypatch):
         (local(8, [(v, (v + 1) % 8) for v in range(8)]), 2),      # bridgeless, target 2
     ]
     for lg, k in settled:
-        assert _repair_mincut(lg, k) == ([], [])
+        assert _repair_mincut(lg, k) == []
     assert calls == []
     bridged = local(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
-    added, _ = _repair_mincut(bridged, 2)
-    assert added and calls
+    assert _repair_mincut(bridged, 2) and calls
     assert brute_force_min_cut(6, local_edge_set(bridged)) >= 2
 
 
@@ -483,7 +474,7 @@ def test_match_global_equals_matching_over_all_edges():
         n = int(rng.integers(2, 120))
         arr = random_edge_array(rng, n, float(rng.uniform(0.02, 0.6)))
         deficits = rng.integers(-2, 6, size=n)
-        full = neighbour_sets(n, arr.tolist())
+        full = _adjacency(n, arr)
         cur = {v: int(d) for v, d in enumerate(deficits.tolist()) if d > 0}
         expect = _deficit_matching(cur, full)
         assert match_degrees_global(arr, deficits) == expect
@@ -647,7 +638,7 @@ def test_deficit_matching_matches_the_residual_oracle(case):
     n, edges, deficits = case
     ref = set(edges)
     cur = {v: d for v, d in enumerate(deficits) if d != 0}
-    added = _deficit_matching(dict(cur), neighbour_sets(n, edges))
+    added = _deficit_matching(dict(cur), local(n, edges))
     expect, residual = reference_deficit_matching(
         dict(cur), lambda u, v: (min(u, v), max(u, v)) in ref,
         lambda u, v: ref.add((min(u, v), max(u, v))))
@@ -683,7 +674,7 @@ def test_enforce_min_degree_matches_the_heap_oracle():
         lg, ref = local(size, edges), local(size, edges)
         expect, used = reference_enforce_min_degree(ref, k)
         assert _enforce_min_degree(lg, k) == expect
-        assert lg.adj == ref.adj
+        assert lg == ref
         fallbacks.append(used)
 
     check()
@@ -697,7 +688,7 @@ def cluster_items(draw):
         cluster_id=draw(st.integers(0, 9)),
         members=np.arange(size, dtype=np.int64) * 3 + 5,
         edges=canon(draw(edge_lists(size))),
-        target_cut=draw(st.integers(0, 5)),
+        target_cut=draw(st.integers(0, 12)),
         budget=np.array(draw(st.lists(st.integers(-2, 12), min_size=size,
                                       max_size=size)), dtype=np.int64),
     )
@@ -706,6 +697,7 @@ def cluster_items(draw):
 @settings(max_examples=200)
 @given(cluster_items(), st.sampled_from(["plus", "pp"]))
 def test_process_cluster_returns_one_array_of_new_local_pairs(item, variant):
+    # targets up to 12 on at most 12 nodes reach the complete graph
     out = process_cluster(item, variant)
     assert len(out.counts) == len(STAGES)
     assert sum(out.counts) == len(out.added)
@@ -716,3 +708,9 @@ def test_process_cluster_returns_one_array_of_new_local_pairs(item, variant):
     assert not set(rows) & set(map(tuple, item.edges.tolist()))
     if variant == "plus":
         assert out.counts[STAGES.index("degree_match")] == 0
+    # the repair postconditions: connected, degree floor, exact cut target
+    size, k = len(item.members), item.target_cut
+    edges = repaired(item, out)
+    assert len(components_of(edges, size)) == 1
+    assert min(degrees_of(edges, size)) >= min_degree_target(k, size)
+    assert brute_force_min_cut(size, edges) >= min(k, size - 1)

@@ -123,7 +123,6 @@ def test_single_node_intra_block_drops_demand():
     edges, report = sample_dcsbm(bm, c, np.ones(3), seed=0)
     assert len(edges) == 0
     assert report.shortfall == 4
-    assert report.single_node_intra_blocks == 1
 
 
 def test_two_single_node_blocks_force_the_edge():
