@@ -2,7 +2,9 @@
 
 Three scalar comparisons (absolute difference, relative difference, root
 mean squared error over aligned sequences) applied to eight network
-statistics, plus clustering agreement scores (NMI, ARI).
+statistics, plus clustering agreement scores (NMI, ARI). Triangles are
+counted by the degree-ordered forward method in wedge blocks of
+_WEDGE_BLOCK, so their extra memory is O(m + block).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cluster_stats import _local_edge_groups
 from .graphs import Clustering, CsrGraph, bfs_distances, build_csr, connected_components
@@ -22,6 +23,7 @@ from .mincut import global_min_cut
 log = logging.getLogger(__name__)
 
 DIAMETER_GUARD = 200_000
+_WEDGE_BLOCK = 1 << 18  # wedges the triangle count checks per numpy step
 
 MIXING_EDGE_FRACTION = "edge-fraction"
 MIXING_NODE_MEAN = "node-mean"
@@ -61,14 +63,32 @@ def rmse(a, b) -> float:
 
 
 def _triangles_per_node(g: CsrGraph) -> np.ndarray:
-    if g.n == 0 or g.m == 0:
-        return np.zeros(g.n, dtype=np.float64)
-    a = sp.csr_matrix(
-        (np.ones(len(g.cols), dtype=np.float64), g.cols, g.offsets),
-        shape=(g.n, g.n),
-    )
-    common = (a @ a).multiply(a)
-    return np.asarray(common.sum(axis=1)).ravel() / 2.0
+    """Triangles through each node, by the forward count (Chiba & Nishizeki).
+
+    Nodes are renamed by their (degree, id) rank and each edge points
+    from its smaller name to its larger, so each triangle is exactly one
+    wedge (a pair of one node's out-edges) whose far ends are joined.
+    Wedges are checked _WEDGE_BLOCK at a time against the sorted out-edge
+    keys. A source's wedges come in ascending key order, so numpy's
+    searchsorted starts each bisection where the previous one ended.
+    """
+    n = g.n
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), g.degrees))] = np.arange(n)
+    up = np.repeat(rank, g.degrees) < rank[g.cols]
+    key = np.repeat(rank, g.degrees)[up] * n + rank[g.cols[up]]  # source * n + target
+    key.sort()
+    # out-edge p pairs with each later out-edge of its source: wedges first[p]:first[p + 1]
+    run_end = np.cumsum(np.bincount(key // n, minlength=n))
+    first = np.concatenate(([0], np.cumsum(run_end[key // n] - np.arange(1, len(key) + 1))))
+    tri = np.zeros(n, dtype=np.int64)
+    for lo in range(0, int(first[-1]), _WEDGE_BLOCK):
+        w = np.arange(lo, min(lo + _WEDGE_BLOCK, int(first[-1])))
+        p = np.searchsorted(first, w, side="right") - 1
+        ab = key[p] % n * n + key[w - first[p] + p + 1] % n
+        hit = key[np.minimum(np.searchsorted(key, ab), len(key) - 1)] == ab
+        np.add.at(tri, np.concatenate([key[p[hit]] // n, ab[hit] // n, ab[hit] % n]), 1)
+    return tri[rank]
 
 
 def clustering_coefficients(g: CsrGraph) -> tuple[float, float]:

@@ -48,6 +48,7 @@ from .cluster_stats import (
 from .graphs import (
     Clustering,
     CsrGraph,
+    GraphFormatError,
     build_csr,
     load_clustering,
     load_edge_list,
@@ -135,7 +136,7 @@ def _build_work_items(split_res: SplitResult, ref_deg: np.ndarray,
     index = split_res.c_c.index
     cross = gc_sample[index[gc_sample[:, 0]] != index[gc_sample[:, 1]]]
     budget = ref_deg - np.bincount(cross.ravel(), minlength=len(ref_deg))
-    return [rp.ClusterWork(cluster_id=cid, members=members, edges=local,
+    return [rp.ClusterWork(members=members, edges=local,
                            target_cut=stats[cid].mincut, budget=budget[members])
             for cid, members, local in _local_edge_groups(gc_sample, split_res.c_c)]
 
@@ -145,12 +146,12 @@ def _stage(seconds: dict, name: str):
     """Time the with-body into seconds[name].
 
     A stage entered again adds to its seconds. Any error other than a
-    PipelineError is re-raised as PipelineError(name).
+    PipelineError or a GraphFormatError is re-raised as PipelineError(name).
     """
     t = time.perf_counter()
     try:
         yield
-    except PipelineError:
+    except (PipelineError, GraphFormatError):
         raise
     except Exception as exc:
         raise PipelineError(name, str(exc)) from exc
@@ -211,11 +212,12 @@ def _prepare(g: CsrGraph, c: Clustering, seed: int, executor,
             stats = {s.cluster_id: s for s in stats_results}
 
     shortfalls = []
-    for part, bm, rep in (("clustered", bm_c, rep_c), ("singleton", bm_s, rep_s)):
+    for part, bm, rep, ids in (("clustered", bm_c, rep_c, split_res.c_c.cluster_ids),
+                               ("singleton", bm_s, rep_s, split_res.c_s.cluster_ids)):
         for i in np.flatnonzero(rep.coordinate_shortfall).tolist():
             shortfalls.append((part,
-                               int(bm.block_ids[bm.r[i]]),
-                               int(bm.block_ids[bm.s[i]]),
+                               int(ids[bm.r[i]]),
+                               int(ids[bm.s[i]]),
                                int(bm.counts[i]),
                                int(rep.coordinate_shortfall[i])))
     sbm = {

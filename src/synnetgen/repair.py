@@ -59,7 +59,6 @@ class ClusterWork:
     Repair reads an item and never changes it.
     """
 
-    cluster_id: int
     members: np.ndarray
     edges: np.ndarray
     target_cut: int

@@ -27,12 +27,11 @@ MAX_RETRIES = 30  # redraws per demanded edge before it counts as shortfall
 class BlockMatrix:
     """Sparse symmetric block tally in coordinate form.
 
-    block_ids are the sorted cluster ids; r and s index into block_ids
+    r and s index the cluster_ids of the clustering it was tallied over,
     with r <= s, and counts[i] is the number of edges between blocks
     r[i] and s[i]. The counts sum to the tallied edge total.
     """
 
-    block_ids: np.ndarray
     r: np.ndarray
     s: np.ndarray
     counts: np.ndarray
@@ -48,13 +47,12 @@ class BlockMatrix:
 def build_block_matrix(edges, c: Clustering) -> BlockMatrix:
     """Tally edges into cluster-pair coordinates, sorted by (r, s)."""
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    ids = c.cluster_ids
-    b = len(ids)
+    b = len(c.cluster_ids)
     cu = c.index[arr[:, 0]]
     cv = c.index[arr[:, 1]]
     keys, counts = np.unique(np.minimum(cu, cv) * b + np.maximum(cu, cv),
                              return_counts=True)
-    return BlockMatrix(block_ids=ids, r=keys // b if b else keys,
+    return BlockMatrix(r=keys // b if b else keys,
                        s=keys % b if b else keys, counts=counts)
 
 
@@ -115,15 +113,6 @@ def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
         raise ValueError("weights length must match node count")
     if not 0 <= seed < 1 << 64:
         raise ValueError("seed must be an unsigned 64-bit integer")
-    ids = c.cluster_ids
-    lookup = np.searchsorted(ids, bm.block_ids)
-    bad = (lookup >= len(ids)) | (ids[np.minimum(lookup, len(ids) - 1)] != bm.block_ids) \
-        if len(ids) else np.ones(len(bm.block_ids), dtype=bool)
-    if len(bm.block_ids) and bad.any():
-        raise ValueError(
-            f"block id {int(bm.block_ids[int(np.flatnonzero(bad)[0])])} has no members"
-        )
-
     # nodes grouped by cluster; cluster k is the contiguous run start[k]:stop[k]
     order, bounds = c.grouped
     start, stop = bounds[:-1], bounds[1:]
@@ -145,13 +134,12 @@ def sample_dcsbm(bm: BlockMatrix, c: Clustering, weights,
         at = np.searchsorted(cum, base[k] + u * total[k], side="right")
         return order[np.minimum(at, last[k])]
 
-    kr, ks = lookup[bm.r], lookup[bm.s]
     # a copy: np.asarray may alias bm.counts, and need counts down in place
     need = np.asarray(bm.counts, dtype=np.int64).copy()
 
     n = c.n
     keys = owners = np.empty(0, dtype=np.int64)
-    ends = np.column_stack([kr, ks])
+    ends = np.column_stack([bm.r, bm.s])
     stream = _hash(_mix64(np.uint64(seed)), np.arange(len(bm), dtype=np.uint64))
     side = np.arange(2, dtype=np.uint64)
     for rnd in range(MAX_RETRIES + 1):

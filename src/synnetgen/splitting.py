@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Clustering, CsrGraph
+from .graphs import Clustering, CsrGraph, GraphFormatError
 
 
 @dataclass
@@ -25,13 +25,16 @@ class SplitResult:
 
 
 def fresh_singleton_ids(c: Clustering) -> np.ndarray:
-    """Cluster id for each singleton node: max input id + rank of node id."""
-    singles = c.singleton_nodes
-    if len(c.cluster_ids) == 0:
-        base = 0
-    else:
-        base = int(c.cluster_ids.max())
-    return base + 1 + np.arange(len(singles), dtype=np.int64)
+    """Cluster id for each singleton node: max input id + rank of node id.
+
+    Raises GraphFormatError when the fresh ids would pass the int64 maximum.
+    """
+    count = len(c.singleton_nodes)
+    top = int(c.cluster_ids.max()) if len(c.cluster_ids) else 0
+    if top > 2**63 - 1 - count:
+        raise GraphFormatError(f"cluster id {top} leaves no room in int64 for "
+                               f"{count} fresh singleton cluster ids")
+    return top + 1 + np.arange(count, dtype=np.int64)
 
 
 def split(g: CsrGraph, c: Clustering) -> SplitResult:

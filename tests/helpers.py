@@ -271,7 +271,7 @@ def reference_sample_dcsbm(bm, c, weights, seed):
     weights = np.asarray(weights, dtype=np.float64)
 
     def block(bi):
-        nodes = cluster_members(c, int(bm.block_ids[bi]))
+        nodes = cluster_members(c, int(c.cluster_ids[bi]))
         w = weights[nodes]
         return nodes, np.cumsum(w if w.sum() > 0 else np.ones(len(nodes)))
 

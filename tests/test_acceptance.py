@@ -176,7 +176,6 @@ def test_degree_matching_monotonicity():
             for u, v in itertools.combinations(range(size), 2)
         )
         item = ClusterWork(
-            cluster_id=0,
             members=np.arange(size, dtype=np.int64),
             edges=np.array(sorted(edges), dtype=np.int64).reshape(-1, 2),
             target_cut=1,

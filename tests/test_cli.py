@@ -104,6 +104,23 @@ def test_label_outside_int64_exits_two(tmp_path, capsys, bad):
         assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["split", "generate", "compare-versions"])
+@pytest.mark.parametrize("top", [2**63 - 2, 2**63 - 1])
+def test_singleton_ids_past_int64_exit_two(tmp_path, capsys, command, top):
+    net, clu = tmp_path / "net.tsv", tmp_path / "clu.tsv"
+    net.write_text("1\t2\n2\t3\n3\t4\n4\t5\n5\t6\n")
+    # clusters top and -2**63 of two nodes each, and two singletons
+    clu.write_text(f"1\t{top}\n2\t{top}\n3\t{-2**63}\n4\t{-2**63}\n5\t0\n6\t1\n")
+    rc = main([command, "--network", str(net), "--clustering", str(clu),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: cluster id {top} leaves no room in int64 for 2 fresh singleton "
+        "cluster ids"]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("bad", ["network", "clustering", "stats", "directory"])
 def test_undecodable_or_unreadable_input_exits_two(tmp_path, capsys, bad):
     files = {"network": b"1\t2\n2\t3\n", "clustering": b"1\t0\n2\t0\n3\t0\n",

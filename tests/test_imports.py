@@ -11,11 +11,17 @@ must be used, as a name or an attribute, somewhere in the package outside
 __init__.py. Assigning a name is not a use of it. A definition only tests
 use is not part of what the program does, so it goes, except for the
 allow-listed names.
+
+Runtime imports: a fresh interpreter that imports the package loads no
+scipy module.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -139,3 +145,14 @@ def test_package_defines_nothing_it_never_uses():
             if qual not in ALLOWED_UNREFERENCED] == []
     # an allow-list entry whose definition is gone or now used is stale
     assert sorted(qual for _, _, qual in found) == sorted(ALLOWED_UNREFERENCED)
+
+
+def test_package_imports_without_scipy():
+    # numpy is the one runtime dependency: importing the package and its
+    # command line loads no scipy module
+    code = ("import sys, synnetgen, synnetgen.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from helpers import (
     random_clustering,
     random_edge_array,
     reference_local_edge_groups,
+    triangle_oracle,
 )
 
 mp.dps = 50
@@ -74,17 +77,38 @@ def test_scalars_against_extended_precision():
         assert close_rel(absolute_difference(s, t), float(mpf(s) - mpf(t)))
 
 
-def test_clustering_coefficients_against_cubic_oracle():
+def test_clustering_coefficients_against_cubic_oracle(monkeypatch):
     rng = np.random.default_rng(121)
-    for _ in range(20):
-        n = int(rng.integers(2, 14))
-        arr = random_edge_array(rng, n, 0.4)
-        g = build_csr(arr, n)
-        mean_local, global_c = clustering_coefficients(g)
-        assert mean_local == pytest.approx(
-            local_coefficient_oracle(n, arr.tolist()), abs=1e-12)
-        assert global_c == pytest.approx(
-            global_coefficient_oracle(n, arr.tolist()), abs=1e-12)
+    graphs = [(n, random_edge_array(rng, n, p)) for n in range(15) for p in (0, 0.4, 1)]
+    # a hub joined to a 6-clique and to 5 leaves: the hub ranks last
+    hub = [(0, v) for v in range(1, 12)] + list(itertools.combinations(range(1, 7), 2))
+    graphs.append((12, np.array(sorted(hub), dtype=np.int64)))
+    for block in (1, 3, metrics._WEDGE_BLOCK):
+        monkeypatch.setattr(metrics, "_WEDGE_BLOCK", block)
+        for n, arr in graphs:
+            g = build_csr(arr, n)
+            tri = metrics._triangles_per_node(g)
+            assert tri.tolist() == triangle_oracle(n, arr.tolist())[0]
+            mean_local, global_c = clustering_coefficients(g)
+            assert mean_local == pytest.approx(
+                local_coefficient_oracle(n, arr.tolist()), abs=1e-12)
+            assert global_c == pytest.approx(
+                global_coefficient_oracle(n, arr.tolist()), abs=1e-12)
+
+
+def test_triangle_count_memory_stays_bounded_on_a_star():
+    # the matrix square of a 2000-leaf star holds 4M entries; the forward
+    # count points every edge at the hub, which then has no wedge to close
+    leaves = np.arange(1, 2001, dtype=np.int64)
+    g = build_csr(np.column_stack([np.zeros_like(leaves), leaves]), 2001)
+    tracemalloc.start()
+    try:
+        tri = metrics._triangles_per_node(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not tri.any()
+    assert peak < 4 * 2**20
 
 
 def test_triangle_free_and_complete():
@@ -93,8 +117,6 @@ def test_triangle_free_and_complete():
     mean_local, global_c = clustering_coefficients(star)
     assert mean_local == 0.0 and global_c == 0.0
     # K4: all coefficients 1
-    import itertools
-
     k4 = build_csr(np.array(list(itertools.combinations(range(4), 2))), 4)
     mean_local, global_c = clustering_coefficients(k4)
     assert mean_local == pytest.approx(1.0)

@@ -66,7 +66,7 @@ def test_build_work_items_external_degrees():
     gc_sample = np.array([[0, 1], [1, 2]])
     ref_deg = np.bincount(res.g_c_edges.ravel(), minlength=len(res.gc_nodes))
     items = _build_work_items(res, ref_deg, gc_sample, stats)
-    assert [it.cluster_id for it in items] == [0, 1]
+    assert [it.members.tolist() for it in items] == [[0, 1], [2, 3]]
     assert items[0].edges.tolist() == [[0, 1]]
     assert items[1].edges.shape == (0, 2)
     # reference degrees restricted to the clustered subnetwork

@@ -42,11 +42,10 @@ def canon(edges):
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def work(size, edges, k=1, ref=None, ext=None, cid=0):
+def work(size, edges, k=1, ref=None, ext=None):
     ref = np.array(ref if ref is not None else [0] * size, dtype=np.int64)
     ext = np.array(ext if ext is not None else [0] * size, dtype=np.int64)
     return ClusterWork(
-        cluster_id=cid,
         members=np.arange(size, dtype=np.int64),
         edges=canon(edges),
         target_cut=k,
@@ -685,7 +684,6 @@ def test_enforce_min_degree_matches_the_heap_oracle():
 def cluster_items(draw):
     size = draw(st.integers(1, 12))
     return ClusterWork(
-        cluster_id=draw(st.integers(0, 9)),
         members=np.arange(size, dtype=np.int64) * 3 + 5,
         edges=canon(draw(edge_lists(size))),
         target_cut=draw(st.integers(0, 12)),

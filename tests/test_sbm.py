@@ -18,9 +18,9 @@ from helpers import (
 )
 
 
-def bm_as_dict(bm):
+def bm_as_dict(bm, c):
     return {
-        (int(bm.block_ids[r]), int(bm.block_ids[s])): int(cnt)
+        (int(c.cluster_ids[r]), int(c.cluster_ids[s])): int(cnt)
         for r, s, cnt in zip(bm.r, bm.s, bm.counts)
     }
 
@@ -33,7 +33,7 @@ def test_block_matrix_matches_tally_oracle():
         c = random_clustering(rng, n, int(rng.integers(1, 8)))
         bm = build_block_matrix(arr, c)
         expect = block_tally_oracle(arr.tolist(), c.assignment)
-        assert bm_as_dict(bm) == expect
+        assert bm_as_dict(bm, c) == expect
         assert bm.total_edges == len(arr)
         assert np.all(bm.r <= bm.s)
 
@@ -70,7 +70,7 @@ def test_sample_respects_block_counts():
         assert out.tolist() == [list(e) for e in sorted(set(map(tuple, out.tolist())))]
         # every placed edge lands in a demanded coordinate, never above count
         got = block_tally_oracle(out.tolist(), c.assignment)
-        want = bm_as_dict(bm)
+        want = bm_as_dict(bm, c)
         for pair, cnt in got.items():
             assert cnt <= want[pair]
         assert report.placed + report.shortfall == report.requested
@@ -85,14 +85,13 @@ def test_sample_exact_when_blocks_are_roomy():
     bm, (edges, report) = sample_round_trip(arr, c, seed=3)
     assert report.shortfall == 0
     got = block_tally_oracle(edges.tolist(), c.assignment)
-    assert got == bm_as_dict(bm)
+    assert got == bm_as_dict(bm, c)
 
 
 def test_complete_block_saturation():
     # demand every possible intra edge of a 4-node block
     c = Clustering([0, 0, 0, 0])
     bm = BlockMatrix(
-        block_ids=np.array([0]),
         r=np.array([0]),
         s=np.array([0]),
         counts=np.array([6]),
@@ -102,7 +101,6 @@ def test_complete_block_saturation():
     assert report.shortfall == 0
     # demanding more than possible leaves a shortfall
     bm2 = BlockMatrix(
-        block_ids=np.array([0]),
         r=np.array([0]),
         s=np.array([0]),
         counts=np.array([9]),
@@ -115,7 +113,6 @@ def test_complete_block_saturation():
 def test_single_node_intra_block_drops_demand():
     c = Clustering([0, 1, 1])
     bm = BlockMatrix(
-        block_ids=np.array([0]),
         r=np.array([0]),
         s=np.array([0]),
         counts=np.array([4]),
@@ -128,7 +125,6 @@ def test_single_node_intra_block_drops_demand():
 def test_two_single_node_blocks_force_the_edge():
     c = Clustering([0, 1])
     bm = BlockMatrix(
-        block_ids=np.array([0, 1]),
         r=np.array([0]),
         s=np.array([1]),
         counts=np.array([5]),
@@ -138,22 +134,10 @@ def test_two_single_node_blocks_force_the_edge():
     assert report.shortfall == 4
 
 
-def test_unknown_block_id_rejected():
-    bm = BlockMatrix(
-        block_ids=np.array([9]),
-        r=np.array([0]),
-        s=np.array([0]),
-        counts=np.array([1]),
-    )
-    with pytest.raises(ValueError, match="block id 9"):
-        sample_dcsbm(bm, Clustering([0, 0]), np.ones(2), seed=0)
-
-
 def test_zero_weight_nodes_never_drawn():
     c = Clustering([0] * 6)
     w = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
     bm = BlockMatrix(
-        block_ids=np.array([0]),
         r=np.array([0]),
         s=np.array([0]),
         counts=np.array([3]),
@@ -166,7 +150,6 @@ def test_zero_weight_nodes_never_drawn():
 def test_all_zero_weights_fall_back_to_uniform():
     c = Clustering([0] * 5)
     bm = BlockMatrix(
-        block_ids=np.array([0]),
         r=np.array([0]),
         s=np.array([0]),
         counts=np.array([4]),
@@ -200,14 +183,14 @@ def test_coordinates_are_independent_streams():
     full, _ = sample_dcsbm(bm, c, w, seed=5)
     counts = bm.counts.copy()
     counts[1] = 0
-    bm2 = BlockMatrix(block_ids=bm.block_ids, r=bm.r, s=bm.s, counts=counts)
+    bm2 = BlockMatrix(r=bm.r, s=bm.s, counts=counts)
     partial, _ = sample_dcsbm(bm2, c, w, seed=5)
 
     def coord_of(u, v):
         a, b = sorted((int(c.assignment[u]), int(c.assignment[v])))
         return a, b
 
-    dropped = (int(bm.block_ids[bm.r[1]]), int(bm.block_ids[bm.s[1]]))
+    dropped = (int(c.cluster_ids[bm.r[1]]), int(c.cluster_ids[bm.s[1]]))
     full_rest = {tuple(e) for e in full.tolist() if coord_of(*e) != dropped}
     assert {tuple(e) for e in partial.tolist()} == full_rest
 
@@ -217,7 +200,6 @@ def test_weighted_endpoint_frequencies():
     c = Clustering([0, 1, 1, 1, 1])
     w = np.array([1.0, 8.0, 4.0, 2.0, 1.0])
     bm = BlockMatrix(
-        block_ids=np.array([0, 1]),
         r=np.array([0]),
         s=np.array([1]),
         counts=np.array([1]),
@@ -242,7 +224,6 @@ def _redraw_reference():
     c = Clustering([0] * 6 + [1] * 4 + [2])
     w = np.array([5.0, 4.0, 3.0, 2.0, 1.0, 1.0, 1.0, 2.0, 3.0, 0.0, 1.0])
     bm = BlockMatrix(
-        block_ids=np.array([0, 1, 2]),
         r=np.array([0, 0, 1, 1]),
         s=np.array([0, 1, 1, 2]),
         counts=np.array([13, 5, 3, 2]),
@@ -288,8 +269,7 @@ def test_pick_rounded_past_its_block_stays_on_a_positive_weight_node(monkeypatch
     # zero-weight node 3 sits just before block 2's first node 4
     c = Clustering([0, 1, 1, 1, 2, 2])
     w = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 1.0])
-    bm = BlockMatrix(block_ids=np.array([0, 1, 2]), r=np.array([0]),
-                     s=np.array([1]), counts=np.array([1]))
+    bm = BlockMatrix(r=np.array([0]), s=np.array([1]), counts=np.array([1]))
     monkeypatch.setattr(sbm, "_hash",
                         lambda key, x: np.full(np.broadcast(key, x).shape,
                                                2**64 - 1, dtype=np.uint64))
@@ -301,7 +281,6 @@ def test_pick_rounded_past_its_block_stays_on_a_positive_weight_node(monkeypatch
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
 def test_seed_outside_uint64_rejected(seed):
     bm = BlockMatrix(
-        block_ids=np.array([0]),
         r=np.array([0]),
         s=np.array([0]),
         counts=np.array([1]),

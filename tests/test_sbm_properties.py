@@ -27,7 +27,7 @@ def block_models(draw):
     pairs = [(r, s) for r in range(len(sizes)) for s in range(r, len(sizes))]
     chosen = sorted(draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
     counts = draw(st.lists(st.integers(0, 12), min_size=len(chosen), max_size=len(chosen)))
-    bm = BlockMatrix(block_ids=ids, r=np.array([p[0] for p in chosen]),
+    bm = BlockMatrix(r=np.array([p[0] for p in chosen]),
                      s=np.array([p[1] for p in chosen]), counts=np.array(counts))
     return bm, c, weights, draw(st.integers(0, 2**64 - 1))
 
@@ -36,8 +36,8 @@ def tally(edges, c):
     return block_tally_oracle(edges.tolist(), c.assignment)
 
 
-def demand(bm):
-    return {(int(bm.block_ids[r]), int(bm.block_ids[s])): int(cnt)
+def demand(bm, c):
+    return {(int(c.cluster_ids[r]), int(c.cluster_ids[s])): int(cnt)
             for r, s, cnt in zip(bm.r, bm.s, bm.counts)}
 
 
@@ -57,7 +57,7 @@ def test_placement_and_shortfall_account_for_the_demand(model):
     bm, c, _, _ = model
     edges, report = sample_dcsbm(*model)
     got = tally(edges, c)
-    want = demand(bm)
+    want = demand(bm, c)
     assert set(got) <= set(want)
     for i, (pair, cnt) in enumerate(want.items()):
         assert got.get(pair, 0) <= cnt
@@ -70,8 +70,8 @@ def test_placement_and_shortfall_account_for_the_demand(model):
 @settings(max_examples=MAX_EXAMPLES)
 @given(block_models())
 # a zero-weight node ends block 3 and is followed by block 10's first node
-@example((BlockMatrix(block_ids=np.array([3, 10]), r=np.array([0, 0, 1]),
-                      s=np.array([0, 1, 1]), counts=np.array([2, 4, 1])),
+@example((BlockMatrix(r=np.array([0, 0, 1]), s=np.array([0, 1, 1]),
+                      counts=np.array([2, 4, 1])),
           Clustering([3, 3, 3, 10, 10]), np.array([1.0, 2.0, 0.0, 1.0, 1.0]), 9))
 def test_zero_weight_nodes_are_never_drawn(model):
     _, c, weights, _ = model
@@ -90,10 +90,10 @@ def test_zeroing_a_coordinate_leaves_the_others_unchanged(model, data):
     i = data.draw(st.integers(0, len(bm) - 1))
     counts = bm.counts.copy()
     counts[i] = 0
-    zeroed = BlockMatrix(block_ids=bm.block_ids, r=bm.r, s=bm.s, counts=counts)
+    zeroed = BlockMatrix(r=bm.r, s=bm.s, counts=counts)
     full, _ = sample_dcsbm(bm, c, weights, seed)
     partial, report = sample_dcsbm(zeroed, c, weights, seed)
-    dropped = (int(bm.block_ids[bm.r[i]]), int(bm.block_ids[bm.s[i]]))
+    dropped = (int(c.cluster_ids[bm.r[i]]), int(c.cluster_ids[bm.s[i]]))
     assert dropped not in tally(partial, c)
     assert report.coordinate_shortfall[i] == 0
 

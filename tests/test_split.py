@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from synnetgen import Clustering, build_csr, split
+from synnetgen.graphs import GraphFormatError
 from synnetgen.splitting import fresh_singleton_ids
 
 from helpers import random_clustering, random_edge_array
@@ -37,6 +38,22 @@ def test_fresh_singleton_ids_are_distinct_and_new():
     ids = fresh_singleton_ids(c)
     assert ids.tolist() == [10, 11]
     assert c.singleton_nodes.tolist() == [2, 5]
+
+
+def test_fresh_singleton_ids_reach_the_int64_maximum():
+    c = Clustering([2**63 - 2, 2**63 - 2, 0])
+    assert fresh_singleton_ids(c).tolist() == [2**63 - 1]
+
+
+@pytest.mark.parametrize("assignment", [
+    [2**63 - 2, 2**63 - 2, -2**63, -2**63, 0, 1, 2],  # would wrap onto -2**63
+    [2**63 - 1, 2**63 - 1, 0],                        # would overflow at once
+])
+def test_fresh_singleton_ids_past_int64_rejected(assignment):
+    c = Clustering(assignment)
+    with pytest.raises(GraphFormatError, match=f"cluster id {max(assignment)} leaves "
+                       f"no room in int64 for {len(c.singleton_nodes)} fresh"):
+        fresh_singleton_ids(c)
 
 
 def test_split_requires_matching_sizes():
