@@ -13,12 +13,13 @@ import io
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .graphs import Clustering, CsrGraph, GraphFormatError, _decode_input, _read_input
+from .graphs import (Clustering, CsrGraph, GraphFormatError, _decode_input, _read_input,
+                     _text_blocks)
 from .mincut import min_cut_of_edges
 
 STATS_HEADER = ["cluster", "n", "m", "mincut"]
@@ -74,6 +75,12 @@ def compute_stats(g: CsrGraph, c: Clustering, workers: int = 1) -> dict[int, Clu
         return {s.cluster_id: s for s in executor(_stats_task, cluster_edge_tables(g, c))}
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; os.cpu_count() with no affinity set (macOS)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 @contextmanager
 def _pool(workers: int):
     """Yield executor(fn, items): fn's lazy in-order results over a list.
@@ -83,7 +90,7 @@ def _pool(workers: int):
     pool forks all its processes at the first submit, so workers is clamped
     to the CPUs this process may run on; results do not depend on it.
     """
-    workers = min(workers, len(os.sched_getaffinity(0)))
+    workers = min(workers, _usable_cpus())
     if workers <= 1:
         yield map
         return
@@ -95,12 +102,11 @@ def _pool(workers: int):
 
 
 def write_stats_csv(stats: dict[int, ClusterStats], path) -> None:
+    """Rows by cluster id, CRLF line ends; dtype object writes any int as read."""
+    rows = np.array([astuple(stats[cid]) for cid in sorted(stats)], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STATS_HEADER)
-        for cid in sorted(stats):
-            s = stats[cid]
-            writer.writerow([s.cluster_id, s.n, s.m, s.mincut])
+        fh.write(",".join(STATS_HEADER) + "\r\n")
+        fh.writelines(_text_blocks(rows, "%d,%d,%d,%d\r\n"))
 
 
 def read_stats_csv(path) -> dict[int, ClusterStats]:

@@ -79,10 +79,7 @@ class EdgeSet:
 
     def to_array(self) -> np.ndarray:
         """Edges as an (m, 2) int64 array sorted lexicographically."""
-        if not self._edges:
-            return np.empty((0, 2), dtype=np.int64)
-        arr = np.array(sorted(self._edges), dtype=np.int64)
-        return arr
+        return np.array(sorted(self._edges), dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -347,9 +344,16 @@ def load_edge_list(path) -> LoadResult:
     )
 
 
-def _tsv_rows(rows: np.ndarray) -> str:
-    """An (m, 2) integer array as m "a<TAB>b" lines, built in one format."""
-    return ("%d\t%d\n" * len(rows)) % tuple(rows.ravel().tolist())
+# rows per formatted block: bounds the Python ints a write holds at once
+_WRITE_BLOCK = 1 << 16
+
+
+def _text_blocks(rows: np.ndarray, line: str):
+    """Yield an (m, k) integer array as text, one %-format of line (one row,
+    a %d per column) over each block of _WRITE_BLOCK rows."""
+    for start in range(0, len(rows), _WRITE_BLOCK):
+        block = rows[start:start + _WRITE_BLOCK]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def write_edge_list(edges, labels, path) -> None:
@@ -358,14 +362,10 @@ def write_edge_list(edges, labels, path) -> None:
     Rows come out in the array's canonical order, so identical edge sets
     always produce identical bytes. An empty array produces an empty file.
     """
-    arr = np.asarray(edges)
-    labels = np.asarray(labels)
-    path = Path(path)
-    if arr.size == 0:
-        path.write_text("", encoding="utf-8")
-        return
-    # labels are ascending, so external pairs stay canonical and sorted
-    path.write_text(_tsv_rows(labels[arr]), encoding="utf-8")
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    with open(path, "w", encoding="utf-8") as fh:
+        # labels are ascending, so external pairs stay canonical and sorted
+        fh.writelines(_text_blocks(np.asarray(labels)[arr], "%d\t%d\n"))
 
 
 def load_clustering(path, labels) -> Clustering:
@@ -410,7 +410,8 @@ def load_clustering(path, labels) -> Clustering:
 def write_clustering(c: Clustering, labels, path) -> None:
     """Write a clustering as "node cluster" rows sorted by node label."""
     rows = np.column_stack([np.asarray(labels, dtype=np.int64), c.assignment])
-    Path(path).write_text(_tsv_rows(rows), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_text_blocks(rows, "%d\t%d\n"))
 
 
 # ===== Traversal helpers =====
@@ -419,13 +420,8 @@ def write_clustering(c: Clustering, labels, path) -> None:
 def gather_neighbors(g: CsrGraph, nodes: np.ndarray) -> np.ndarray:
     """Concatenated neighbor lists of the given nodes (with repeats)."""
     counts = g.offsets[nodes + 1] - g.offsets[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
     starts = np.repeat(g.offsets[nodes], counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
+    within = np.arange(len(starts)) - np.repeat(np.cumsum(counts) - counts, counts)
     return g.cols[starts + within]
 
 
@@ -444,18 +440,17 @@ def bfs_distances(g: CsrGraph, source: int) -> np.ndarray:
 
 
 def connected_components(g: CsrGraph) -> np.ndarray:
-    """Component label per node; labels assigned by ascending smallest member."""
-    labels = np.full(g.n, -1, dtype=np.int64)
-    current = 0
-    for s in range(g.n):
-        if labels[s] >= 0:
-            continue
-        labels[s] = current
-        frontier = np.array([s], dtype=np.int64)
-        while frontier.size:
-            nb = gather_neighbors(g, frontier)
-            nb = _sorted_unique(nb[labels[nb] < 0])
-            labels[nb] = current
-            frontier = nb
-        current += 1
-    return labels
+    """Component label per node, by ascending smallest member: min-root
+    hooking with pointer jumping (Shiloach & Vishkin 1982). No parent is
+    above its node, so each root is its component's smallest member."""
+    parent = np.arange(g.n, dtype=np.int64)
+    ends = g.edge_array().T
+    while ends.shape[1]:
+        u, v = parent[ends]
+        ends = np.stack([np.minimum(u, v), np.maximum(u, v)])
+        ends = ends[:, ends[0] != ends[1]]
+        np.minimum.at(parent, ends[1], ends[0])
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
+    return (np.cumsum(parent == np.arange(g.n)) - 1)[parent]

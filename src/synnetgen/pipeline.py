@@ -49,6 +49,7 @@ from .graphs import (
     Clustering,
     CsrGraph,
     GraphFormatError,
+    _text_blocks,
     build_csr,
     load_clustering,
     load_edge_list,
@@ -106,8 +107,8 @@ class RunReport:
 class SynthesisResult:
     edges: np.ndarray          # canonical sorted, internal ids of the reference
     report: RunReport
-    residuals: list            # (cluster_id, internal node id, unmet deficit)
-    shortfalls: list           # (part, block_r, block_s, requested, dropped)
+    residuals: np.ndarray      # (r, 3) rows: cluster id, internal node id, unmet deficit
+    shortfalls: dict           # part -> (k, 4) rows: block_r, block_s, requested, dropped
     stats: dict                # cluster id -> ClusterStats actually used
 
 
@@ -117,8 +118,8 @@ def _merge_arrays(n: int, parts: list) -> np.ndarray:
     Every union the pipeline makes is disjoint by construction, so a
     repeated edge is a fault and raises PipelineError("merge").
     """
-    keys = np.concatenate([np.empty(0, dtype=np.int64)]
-                          + [p[:, 0] * n + p[:, 1] for p in parts])
+    # one u * n + v key per row; the concatenated rows are freed at once
+    keys = np.concatenate([np.empty((0, 2), dtype=np.int64)] + parts) @ np.array([n, 1])
     keys.sort()
     repeated = int(np.count_nonzero(keys[1:] == keys[:-1]))
     if repeated:
@@ -171,7 +172,7 @@ class _Prepared:
     gc_sample: np.ndarray      # canonical, clustered-part local ids
     gs_sample: np.ndarray      # canonical, parent ids
     sbm: dict                  # the run report's sbm section
-    shortfalls: list
+    shortfalls: dict
     stage_seconds: dict
 
 
@@ -211,15 +212,12 @@ def _prepare(g: CsrGraph, c: Clustering, seed: int, executor,
         with _stage(seconds, "stats"):
             stats = {s.cluster_id: s for s in stats_results}
 
-    shortfalls = []
+    shortfalls = {}
     for part, bm, rep, ids in (("clustered", bm_c, rep_c, split_res.c_c.cluster_ids),
                                ("singleton", bm_s, rep_s, split_res.c_s.cluster_ids)):
-        for i in np.flatnonzero(rep.coordinate_shortfall).tolist():
-            shortfalls.append((part,
-                               int(ids[bm.r[i]]),
-                               int(ids[bm.s[i]]),
-                               int(bm.counts[i]),
-                               int(rep.coordinate_shortfall[i])))
+        i = np.flatnonzero(rep.coordinate_shortfall)
+        shortfalls[part] = np.column_stack([ids[bm.r[i]], ids[bm.s[i]], bm.counts[i],
+                                            rep.coordinate_shortfall[i]])
     sbm = {
         "clustered_requested": rep_c.requested,
         "clustered_shortfall": rep_c.shortfall,
@@ -277,8 +275,8 @@ def _finish(prepared: _Prepared, variant: str, executor,
         short = np.flatnonzero(unmet > 0)
         if variant == rp.VARIANT_PP:
             short = short[np.argsort(split_res.c_c.index[short], kind="stable")]
-        residuals = list(zip(split_res.c_c.assignment[short].tolist(),
-                             split_res.gc_nodes[short].tolist(), unmet[short].tolist()))
+        residuals = np.column_stack([split_res.c_c.assignment[short],
+                                     split_res.gc_nodes[short], unmet[short]])
         gc_parent = split_res.gc_nodes[gc_merged]
         final = _merge_arrays(prepared.g.n, [gc_parent, prepared.gs_sample])
 
@@ -291,7 +289,7 @@ def _finish(prepared: _Prepared, variant: str, executor,
             **{f"added_{stage}": c for stage, c in zip(rp.STAGES, counts.tolist())},
             "output": int(len(final)),
         }
-        report.residual_deficit_total = int(sum(r[2] for r in residuals))
+        report.residual_deficit_total = int(residuals[:, 2].sum())
         report.residual_node_count = len(residuals)
     return SynthesisResult(edges=final, report=report, residuals=residuals,
                            shortfalls=prepared.shortfalls, stats=prepared.stats)
@@ -313,14 +311,15 @@ def _write_outputs(out_dir: Path, result: SynthesisResult, labels: np.ndarray,
     t = time.perf_counter()
     write_edge_list(result.edges, labels, out_dir / EDGES_FILE)
     write_clustering(c, labels, out_dir / CLUSTERING_FILE)
+    residuals = result.residuals.copy()
+    residuals[:, 1] = labels[residuals[:, 1]]
     with open(out_dir / RESIDUALS_FILE, "w", encoding="utf-8") as fh:
         fh.write("cluster,node,deficit\n")
-        for cid, node, d in result.residuals:
-            fh.write(f"{cid},{int(labels[node])},{d}\n")
+        fh.writelines(_text_blocks(residuals, "%d,%d,%d\n"))
     with open(out_dir / SHORTFALL_FILE, "w", encoding="utf-8") as fh:
         fh.write("part,block_r,block_s,requested,dropped\n")
-        for row in result.shortfalls:
-            fh.write(",".join(str(x) for x in row) + "\n")
+        for part, rows in result.shortfalls.items():
+            fh.writelines(_text_blocks(rows, part + ",%d,%d,%d,%d\n"))
     result.report.stage_seconds["write"] = time.perf_counter() - t
     with open(out_dir / REPORT_FILE, "w", encoding="utf-8") as fh:
         json.dump(result.report.to_dict(), fh, indent=2, sort_keys=True)

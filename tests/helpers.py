@@ -34,10 +34,6 @@ def random_edge_array(rng, n, p):
     return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
-def random_graph(rng, n, p):
-    return build_csr(random_edge_array(rng, n, p), n)
-
-
 def random_clustering(rng, n, k):
     """Uniform random assignment of n nodes to k labels."""
     return Clustering(rng.integers(0, k, size=n))
@@ -532,12 +528,3 @@ def structural_violations(g_out, c, stats):
         if dmin < t:
             bad.append(f"cluster {cid}: min degree {dmin} < {t}")
     return bad
-
-
-def edges_of(g):
-    """Edge tuples of a CsrGraph, canonical."""
-    return [tuple(e) for e in g.edge_array().tolist()]
-
-
-def graph_from_edges(edges, n):
-    return build_csr(np.array(sorted(set(edges)), dtype=np.int64).reshape(-1, 2), n)

@@ -177,6 +177,19 @@ def test_unwritable_output_exits_two(ref_files, tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def test_stats_writes_pinned_bytes(tmp_path):
+    # a 4-cycle cluster with a pendant edge to a triangle cluster: rows by
+    # cluster id, CRLF line ends, as the stats file has always been written
+    net = tmp_path / "net.tsv"
+    clu = tmp_path / "clu.tsv"
+    net.write_text("10\t11\n11\t12\n12\t13\n10\t13\n13\t20\n20\t21\n21\t22\n20\t22\n")
+    clu.write_text("10\t-5\n11\t-5\n12\t-5\n13\t-5\n20\t7\n21\t7\n22\t7\n")
+    out = tmp_path / "stats.csv"
+    assert main(["stats", "--network", str(net), "--clustering", str(clu),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == b"cluster,n,m,mincut\r\n-5,4,4,2\r\n7,3,3,2\r\n"
+
+
 def test_exit_code_pipeline_error(tmp_path, monkeypatch):
     import synnetgen.cli as cli
 

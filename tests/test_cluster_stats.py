@@ -125,8 +125,10 @@ def test_workers_do_not_change_results():
     assert a == b
 
 
-def test_pool_clamps_workers_to_usable_cpus(monkeypatch):
-    # a recorder in place of the process pool: no process is ever started
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """A recorder in place of the process pool, so no process is ever
+    started; returns the list of every pool's max_workers."""
     sizes = []
 
     class RecordingPool:
@@ -143,18 +145,39 @@ def test_pool_clamps_workers_to_usable_cpus(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(cluster_stats, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cluster_stats.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    return sizes
+
+
+def test_pool_clamps_workers_to_usable_cpus(monkeypatch, recording_pool):
+    # raising=False: the platforms without sched_getaffinity run this too
+    monkeypatch.setattr(cluster_stats.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
     rng = np.random.default_rng(31)
     g = build_csr(random_edge_array(rng, 40, 0.15), 40)
     c = random_clustering(rng, 40, 5)
     assert compute_stats(g, c, workers=10_000) == compute_stats(g, c, workers=1)
     with cluster_stats._pool(2) as executor:
         assert list(executor(abs, [-1, 2])) == [1, 2]
-    assert sizes == [3, 2]
+    assert recording_pool == [3, 2]
     monkeypatch.setattr(cluster_stats.os, "sched_getaffinity", lambda pid: {0})
     with cluster_stats._pool(16) as executor:
         assert executor is map
-    assert sizes == [3, 2]
+    assert recording_pool == [3, 2]
+
+
+def test_pool_falls_back_to_cpu_count_without_affinity(monkeypatch, recording_pool):
+    # macOS and Windows have no os.sched_getaffinity; the clamp then reads
+    # os.cpu_count(), at any worker count, 1 included
+    monkeypatch.delattr(cluster_stats.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cluster_stats.os, "cpu_count", lambda: 4)
+    rng = np.random.default_rng(32)
+    g = build_csr(random_edge_array(rng, 30, 0.2), 30)
+    c = random_clustering(rng, 30, 4)
+    assert compute_stats(g, c, workers=1) == compute_stats(g, c, workers=2)
+    assert recording_pool == [2]
+    assert cluster_stats._usable_cpus() == 4
+    monkeypatch.setattr(cluster_stats.os, "cpu_count", lambda: None)
+    assert cluster_stats._usable_cpus() == 1
 
 
 def test_csv_round_trip(tmp_path):
@@ -164,10 +187,15 @@ def test_csv_round_trip(tmp_path):
     }
     p = tmp_path / "stats.csv"
     write_stats_csv(stats, p)
-    text = p.read_text()
-    assert text.splitlines()[0] == "cluster,n,m,mincut"
-    assert text.splitlines()[1] == "1,4,4,1"  # sorted by cluster id
+    # rows sorted by cluster id, with the CRLF line ends of a csv.writer
+    assert p.read_bytes() == b"cluster,n,m,mincut\r\n1,4,4,1\r\n3,5,7,2\r\n"
     assert read_stats_csv(p) == stats
+    write_stats_csv({}, p)
+    assert p.read_bytes() == b"cluster,n,m,mincut\r\n"
+    # read_stats_csv takes ids outside int64, and they are written back as read
+    big = {2**70: ClusterStats(2**70, 3, 3, 2)}
+    write_stats_csv(big, p)
+    assert p.read_bytes() == b"cluster,n,m,mincut\r\n1180591620717411303424,3,3,2\r\n"
 
 
 def test_read_stats_errors(tmp_path):

@@ -1,5 +1,7 @@
+import tracemalloc
 import warnings
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -402,24 +404,53 @@ def test_connected_components_labels():
     assert labels.tolist() == [0, 0, 0, 1, 1, 2]
 
 
+def test_write_edge_list_memory_stays_bounded(tmp_path):
+    # rows are formatted _WRITE_BLOCK at a time, so the Python ints a write
+    # holds do not grow with the edge count; one format over all 2m values
+    # peaks near 119 MiB on this input
+    m = 1_000_000
+    edges = np.column_stack([np.arange(m), np.arange(1, m + 1)])
+    labels = np.arange(m + 1) * 3 + 10**9
+    path = tmp_path / "big.tsv"
+    tracemalloc.start()
+    try:
+        write_edge_list(edges, labels, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    lines = path.read_text().splitlines()
+    assert len(lines) == m
+    assert lines[0] == "1000000000\t1000000003"
+    assert lines[-1] == f"{10**9 + 3 * (m - 1)}\t{10**9 + 3 * m}"
+
+
+def components_oracle(n, edges):
+    """networkx components, labelled in ascending order of smallest member."""
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges.tolist())
+    labels = np.empty(n, dtype=np.int64)
+    for label, comp in enumerate(sorted(nx.connected_components(h), key=min)):
+        labels[list(comp)] = label
+    return labels
+
+
 def test_connected_components_random():
     rng = np.random.default_rng(19)
+    graphs = []
     for _ in range(20):
         n = int(rng.integers(1, 40))
-        arr = random_edge_array(rng, n, 0.08)
-        g = build_csr(arr, n)
-        labels = connected_components(g)
-        # same label iff connected by a path: check via union-find oracle
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in arr.tolist():
-            parent[find(u)] = find(v)
-        for u in range(n):
-            for v in range(n):
-                assert (labels[u] == labels[v]) == (find(u) == find(v))
+        graphs.append((n, random_edge_array(rng, n, 0.08)))
+    for n in (1, 2, 50, 3000):
+        # mostly isolated nodes: a few random edges
+        e = rng.integers(0, n, size=(n // 10, 2))
+        graphs.append((n, e[e[:, 0] != e[:, 1]]))
+        # one long path, and two interleaved ones, in permuted id order
+        perm = rng.permutation(n)
+        graphs += [(n, np.column_stack([perm[:-step], perm[step:]])) for step in (1, 2)]
+    for n, e in graphs:
+        keys = _sorted_unique(e.min(axis=1) * n + e.max(axis=1))
+        edges = np.column_stack([keys // n, keys % n])
+        labels = connected_components(build_csr(edges, n))
+        assert labels.tolist() == components_oracle(n, edges).tolist()

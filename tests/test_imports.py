@@ -12,6 +12,10 @@ __init__.py. Assigning a name is not a use of it. A definition only tests
 use is not part of what the program does, so it goes, except for the
 allow-listed names.
 
+Test helpers: every module-level definition in tests/helpers.py must be
+reached from a tests/test_*.py file, used there as a name or an
+attribute, or used by a helper that is itself reached.
+
 Runtime imports: a fresh interpreter that imports the package loads no
 scipy module.
 """
@@ -91,15 +95,17 @@ def _definitions(body, prefix=""):
             yield from _definitions(node.body, f"{prefix}{node.name}.")
 
 
+def _uses(tree: ast.AST) -> set:
+    """Names a tree uses as a name or as an attribute."""
+    return _used_names(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
 def unreferenced_definitions(sources: dict) -> list:
     """(file, line, qualified name) of every definition in sources (file
     name -> source text) whose name no file uses as a name or an
     attribute."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    used = set()
-    for tree in trees.values():
-        used |= _used_names(tree)
-        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    used = set().union(*map(_uses, trees.values()))
     return [(name, line, qual) for name, tree in trees.items()
             for line, qual in _definitions(tree.body)
             if qual.rsplit(".", 1)[-1] not in used]
@@ -145,6 +151,42 @@ def test_package_defines_nothing_it_never_uses():
             if qual not in ALLOWED_UNREFERENCED] == []
     # an allow-list entry whose definition is gone or now used is stale
     assert sorted(qual for _, _, qual in found) == sorted(ALLOWED_UNREFERENCED)
+
+
+def unreached_helpers(helpers: str, tests: list) -> list:
+    """(line, name) of every module-level definition in the helpers source
+    that no test source reaches: uses, or uses through helpers it reaches."""
+    nodes = {}
+    for node in ast.parse(helpers).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            nodes[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes.update(dict.fromkeys(_constants(node), node))
+    todo = set().union(*(_uses(ast.parse(text)) for text in tests)) & nodes.keys()
+    reached = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo |= (_uses(nodes[name]) & nodes.keys()) - reached
+    return sorted((nodes[name].lineno, name) for name in nodes.keys() - reached)
+
+
+def test_scan_flags_an_unreached_helper():
+    helpers = ("def used():\n    return _inner()\ndef _inner():\n    pass\n"
+               "def dead():\n    return _only_dead()\ndef _only_dead():\n    pass\n"
+               "def loop():\n    return loop()\nLIMIT = 3\nSPARE = LIMIT\n")
+    # importing a name is not a use of it
+    test = "from helpers import dead, used\nimport helpers\nused(helpers.LIMIT)\n"
+    assert unreached_helpers(helpers, [test]) == [
+        (5, "dead"), (7, "_only_dead"), (9, "loop"), (12, "SPARE")]
+
+
+def test_tests_use_every_helper():
+    tests = [f.read_text(encoding="utf-8") for f in sorted((ROOT / "tests").glob("test_*.py"))]
+    assert tests
+    helpers = (ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")
+    assert [f"tests/helpers.py:{line}: {name}"
+            for line, name in unreached_helpers(helpers, tests)] == []
 
 
 def test_package_imports_without_scipy():

@@ -118,8 +118,9 @@ def test_determinism_across_workers(small_reference):
         runs = [synthesize(g, c, variant, seed=3, workers=w) for w in (1, 2)]
         assert runs[0].edges.tolist() == runs[1].edges.tolist()
         assert runs[0].report.edge_counts == runs[1].report.edge_counts
-        assert runs[0].residuals == runs[1].residuals
-        assert runs[0].shortfalls == runs[1].shortfalls
+        assert runs[0].residuals.tolist() == runs[1].residuals.tolist()
+        assert ({part: rows.tolist() for part, rows in runs[0].shortfalls.items()}
+                == {part: rows.tolist() for part, rows in runs[1].shortfalls.items()})
 
 
 def test_stage_seconds_are_disjoint(small_reference):
@@ -178,7 +179,7 @@ def test_all_singletons_pipeline():
     assert ec["clustered_sampled"] == 0
     assert ec["added_min_degree"] == 0
     assert ec["output"] == ec["singleton_sampled"]
-    assert result.residuals == []
+    assert result.residuals.shape == (0, 3)
 
 
 def test_single_cluster_pipeline():
